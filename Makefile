@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test test-race test-cancel-race bench-smoke bench bench-all smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
+.PHONY: check vet build test test-race test-cancel-race bench-smoke bench-e2e-smoke bench bench-all smoke-lowmem smoke-chaos smoke-dist smoke-obs clean
 
 # check is the CI gate: static analysis, build, tests, benchmark smoke.
 check: vet build test bench-smoke
@@ -44,6 +44,13 @@ test-cancel-race:
 # measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
+
+# bench-e2e-smoke vets and race-tests the end-to-end benchmark module
+# (perfbench/, a module of its own, so ./... above never builds it):
+# its tests include a tiny-scale run of every workload, the dist one
+# over the real task wire.
+bench-e2e-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
 
 # bench runs the regression benchmarks with -benchmem and writes a
 # BENCH_<date>.json snapshot (the perf trajectory).

@@ -605,15 +605,17 @@ func (s *Session) RunMapAttempt(ctx context.Context, m, task, attempt int, input
 		Attempt:    attempt,
 		Input:      input,
 		InputCount: inputCount,
-	}, &resp)
+	}, input, &resp)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.download(ctx, ws, resp.RunURL, replicaPath); err != nil {
+		mapreduce.PutBlob(resp.Side)
 		return nil, fmt.Errorf("replicate map task %d run: %w", task, err)
 	}
 	info, err := runio.ReadInfo(replicaPath)
 	if err != nil {
+		mapreduce.PutBlob(resp.Side)
 		os.Remove(replicaPath)
 		return nil, fmt.Errorf("validate map task %d replica: %w", task, err)
 	}
@@ -659,7 +661,7 @@ func (s *Session) RunReduceAttempt(ctx context.Context, m, task, attempt int, ru
 		Task:    task,
 		Attempt: attempt,
 		Sources: refs,
-	}, &resp); err != nil {
+	}, nil, &resp); err != nil {
 		return nil, err
 	}
 	return &mapreduce.RemoteReduceResult{
@@ -685,10 +687,16 @@ func (s *Session) replicaURL(path string) string {
 // marks the worker dead and fails the attempt (retryable — the
 // supervisor reassigns); an ErrorResponse is the attempt's own failure
 // with Fatal/Corrupt classification preserved, and says nothing about
-// worker health.
-func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, out *TaskResponse) (*workerState, error) {
+// worker health; a corrupt response frame fails the attempt as
+// runio.ErrCorrupt (retryable) without judging the worker either.
+//
+// owned is a pooled blob of treq's that dispatch hands back to the
+// pool once no transport can read it (nil for none). out's blobs are
+// pooled too; the caller owns them on success.
+func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, owned []byte, out *TaskResponse) (*workerState, error) {
 	ws, release, err := s.m.acquire(ctx)
 	if err != nil {
+		mapreduce.PutBlob(owned)
 		return nil, err
 	}
 	defer release()
@@ -700,7 +708,7 @@ func (s *Session) dispatch(ctx context.Context, treq *TaskRequest, out *TaskResp
 	m.met.dispatches.Inc()
 	m.met.dispatchInfl.Add(1)
 	s.recordDispatch(obs.EvBegin, treq, ws, 0)
-	err = s.exchange(ctx, ws, treq, out)
+	err = s.exchange(ctx, ws, treq, owned, out)
 	var failed int64
 	if err != nil {
 		failed = 1
@@ -732,7 +740,7 @@ func (s *Session) recordDispatch(typ obs.EventType, treq *TaskRequest, ws *worke
 
 // exchange performs the task POST to one acquired worker and decodes
 // the outcome; dispatch wraps it with the span and counters.
-func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskRequest, out *TaskResponse) error {
+func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskRequest, owned []byte, out *TaskResponse) error {
 	// The dispatch context dies with the attempt or with the worker's
 	// lease, whichever goes first — a hung worker cannot hang the task.
 	dctx, cancel := context.WithCancel(ctx)
@@ -740,15 +748,22 @@ func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskReque
 	stop := context.AfterFunc(ws.ctx, cancel)
 	defer stop()
 
-	body, err := json.Marshal(treq)
+	f, err := encodeFrame(treq)
 	if err != nil {
-		return mapreduce.Fatal(fmt.Errorf("dist: encode task request: %w", err))
-	}
-	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+pathTask, bytes.NewReader(body))
-	if err != nil {
+		mapreduce.PutBlob(owned)
 		return mapreduce.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	// The frame's sections alias treq's blobs; the transport closes the
+	// body when it is done reading them, possibly after Do returns, and
+	// only then does owned go back to the pool.
+	body := f.body(func() { mapreduce.PutBlob(owned) })
+	req, err := http.NewRequestWithContext(dctx, http.MethodPost, ws.url+pathTask, body)
+	if err != nil {
+		body.Close()
+		return mapreduce.Fatal(err)
+	}
+	req.ContentLength = f.size
+	req.Header.Set("Content-Type", frameContentType)
 	resp, err := s.m.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -768,9 +783,14 @@ func (s *Session) exchange(ctx context.Context, ws *workerState, treq *TaskReque
 		}
 		return fmt.Errorf("dist: worker %d: %s task %d attempt %d: %w", ws.id, treq.Phase, treq.Task, treq.Attempt, er.toError())
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		s.m.markDead(ws, fmt.Sprintf("bad task response: %v", err))
-		return fmt.Errorf("dist: worker %d: decode task response: %w", ws.id, err)
+	if err := readFrame(resp.Body, out); err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if !mapreduce.IsCorrupt(err) {
+			s.m.markDead(ws, fmt.Sprintf("bad task response: %v", err))
+		}
+		return fmt.Errorf("dist: worker %d: %s task %d attempt %d: read task response: %w", ws.id, treq.Phase, treq.Task, treq.Attempt, err)
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package dist is the distributed master/worker control plane: an
-// HTTP/JSON protocol that dispatches the engine's task attempts to
-// worker processes and ships map output between them as ERN1 runs.
+// HTTP protocol that dispatches the engine's task attempts to worker
+// processes and ships map output between them as ERN1 runs.
 //
 // Layering: internal/mapreduce defines the process-agnostic seam
 // (RemoteDispatcher on the master side, RemoteRunnable on the worker
@@ -10,13 +10,31 @@
 // entry points are Master (embedded by driver processes; see
 // er.RunDistributedPipeline) and Worker (cmd/erworker).
 //
-// Wire conventions: every record payload ([]byte fields) is a
-// mapreduce record blob (EncodeRecords), which JSON transports as
-// base64 — an exact byte round-trip, so float64 values travel as codec
-// bytes, never as JSON numbers. Errors cross the wire as ErrorResponse
-// with the engine's two orthogonal classifications preserved: Fatal
-// (don't retry) and Corrupt (structural ERN1/blob damage,
-// runio.ErrCorrupt).
+// Wire conventions: the control messages (register, heartbeat,
+// release, ErrorResponse) are small JSON bodies. The /task request and
+// response are task frames (frame.go): a fixed prefix, a JSON header
+// holding only scalars and small structs, then every []byte field — the
+// job spec and the mapreduce record blobs (EncodeRecords) — as a raw
+// section whose length and CRC32C the header declares. Records are an
+// exact byte round-trip, so float64 values travel as codec bytes, never
+// as JSON numbers, and no payload byte is base64-encoded. A frame that
+// is truncated, padded, or fails a checksum is runio.ErrCorrupt: the
+// worker answers 400 with a Corrupt ErrorResponse, the master fails the
+// attempt retryably, and the supervisor runs it again.
+//
+// Record blobs live in mapreduce's bounded blob pool, and each buffer
+// goes back (mapreduce.PutBlob) only when nothing can read it any more:
+//   - the master's map-input blob, when the transport closes the
+//     request body (which may be after Client.Do returns);
+//   - a blob read off the wire, once decoded — the worker's input and
+//     spec after the attempt and the job build, the master's side and
+//     reduce output in the engine's driver after decoding;
+//   - a worker's side or reduce-output blob, once the handler has
+//     written the response.
+//
+// Errors cross the wire as ErrorResponse with the engine's two
+// orthogonal classifications preserved: Fatal (don't retry) and Corrupt
+// (structural ERN1, blob or frame damage, runio.ErrCorrupt).
 package dist
 
 import (
@@ -80,7 +98,7 @@ type HeartbeatResponse struct {
 // into a RemoteRunnable. ID keys the worker's runnable cache.
 type JobRef struct {
 	Name string `json:"name"`
-	Spec []byte `json:"spec,omitempty"`
+	Spec []byte `json:"-"` // a frame section
 	ID   string `json:"id"`
 }
 
@@ -115,7 +133,7 @@ type TaskRequest struct {
 	Task    int `json:"task"`
 	Attempt int `json:"attempt"`
 	// Map phase: the task's input partition as a record blob.
-	Input      []byte `json:"input,omitempty"`
+	Input      []byte `json:"-"` // a frame section
 	InputCount int    `json:"input_count"`
 	// Reduce phase: one segment per map task with records for this
 	// partition, in map-task order.
@@ -129,11 +147,11 @@ type TaskResponse struct {
 	// served at. The run's segment index travels inside the run file
 	// itself (the ERN1 trailer) — the master re-reads and re-validates
 	// it from its replica rather than trusting a wire copy.
-	Side      []byte `json:"side,omitempty"`
+	Side      []byte `json:"-"` // a frame section
 	SideCount int    `json:"side_count,omitempty"`
 	RunURL    string `json:"run_url,omitempty"`
 	// Reduce phase: the attempt's output as a record blob.
-	Output      []byte `json:"output,omitempty"`
+	Output      []byte `json:"-"` // a frame section
 	OutputCount int    `json:"output_count,omitempty"`
 }
 

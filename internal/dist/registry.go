@@ -20,7 +20,9 @@ var (
 )
 
 // RegisterJob registers a named job builder. It panics on a duplicate
-// name, like runio.Register: builder sets are process-static.
+// name, like runio.Register: builder sets are process-static. build
+// must not retain spec: the worker recycles its buffer once build
+// returns.
 func RegisterJob(name string, build func(spec []byte) (mapreduce.RemoteRunnable, error)) {
 	registryMu.Lock()
 	defer registryMu.Unlock()

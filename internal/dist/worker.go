@@ -330,13 +330,20 @@ func (w *Worker) runnableFor(ref JobRef) (mapreduce.RemoteRunnable, error) {
 // the attempt's lifeline: net/http cancels it when the master hangs up
 // (attempt superseded, lease revoked, master dead), which stops the
 // typed attempt at its usual cancellation points.
+//
+// The request's blobs are pooled (readFrame): the spec goes back once
+// the job is built, the input once the attempt has decoded it — which
+// it has by the time it returns.
 func (w *Worker) handleTask(rw http.ResponseWriter, r *http.Request) {
 	var req TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(rw, "bad task request", http.StatusBadRequest)
+	if err := readFrame(r.Body, &req); err != nil {
+		w.writeError(rw, http.StatusBadRequest, fmt.Errorf("dist: worker: bad task request: %w", err))
 		return
 	}
+	defer mapreduce.PutBlob(req.Input)
 	rr, err := w.runnableFor(req.Job)
+	mapreduce.PutBlob(req.Job.Spec)
+	req.Job.Spec = nil
 	if err != nil {
 		w.taskError(rw, mapreduce.Fatal(err))
 		return
@@ -416,12 +423,13 @@ func (w *Worker) execMap(ctx context.Context, rw http.ResponseWriter, rr mapredu
 		return
 	}
 	token := w.registerRun(req.Job.ID, runPath)
-	writeJSON(rw, TaskResponse{
+	w.writeResponse(rw, &TaskResponse{
 		Metrics:   res.Metrics,
 		Side:      res.Side,
 		SideCount: res.SideCount,
 		RunURL:    w.URL() + pathRun + token,
 	})
+	mapreduce.PutBlob(res.Side)
 }
 
 func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, rr mapreduce.RemoteRunnable, req *TaskRequest) {
@@ -449,17 +457,37 @@ func (w *Worker) execReduce(ctx context.Context, rw http.ResponseWriter, rr mapr
 		w.taskError(rw, err)
 		return
 	}
-	writeJSON(rw, TaskResponse{
+	w.writeResponse(rw, &TaskResponse{
 		Metrics:     res.Metrics,
 		Output:      res.Output,
 		OutputCount: res.OutputCount,
 	})
+	mapreduce.PutBlob(res.Output)
+}
+
+// writeResponse writes a completed attempt's response frame. When
+// it returns, the frame's bytes are written out and its blobs free.
+func (w *Worker) writeResponse(rw http.ResponseWriter, resp *TaskResponse) {
+	f, err := encodeFrame(resp)
+	if err != nil {
+		w.taskError(rw, mapreduce.Fatal(err))
+		return
+	}
+	rw.Header().Set("Content-Type", frameContentType)
+	rw.Header().Set("Content-Length", strconv.FormatInt(f.size, 10))
+	// A write error means the master hung up; it fails the attempt on
+	// its own side, so there is no one to report it to.
+	_ = f.writeTo(rw)
 }
 
 func (w *Worker) taskError(rw http.ResponseWriter, err error) {
+	w.writeError(rw, http.StatusInternalServerError, err)
+}
+
+func (w *Worker) writeError(rw http.ResponseWriter, status int, err error) {
 	w.met.taskErrors.Inc()
 	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(http.StatusInternalServerError)
+	rw.WriteHeader(status)
 	json.NewEncoder(rw).Encode(newErrorResponse(err))
 }
 

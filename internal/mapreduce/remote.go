@@ -49,14 +49,16 @@ type RemoteMapResult struct {
 	// exists locally). Reducers prefer it and fall back to the replica.
 	Origin string
 	// Side is the attempt's side output, SideCount records encoded with
-	// the job's input codec (see EncodeRecords).
+	// the job's input codec (see EncodeRecords). It may be a pooled
+	// blob: the driver decodes it and hands it back with PutBlob.
 	Side      []byte
 	SideCount int
 	Metrics   TaskMetrics
 }
 
 // RemoteReduceResult is a completed remote reduce attempt: the emitted
-// output as a record blob plus the attempt's metrics.
+// output as a record blob (possibly pooled; the driver decodes it and
+// hands it back with PutBlob) plus the attempt's metrics.
 type RemoteReduceResult struct {
 	Output      []byte
 	OutputCount int
@@ -85,8 +87,10 @@ type RemoteRun struct {
 //     decides on re-dispatch (typically landing on another worker).
 type RemoteDispatcher interface {
 	// RunMapAttempt dispatches one map attempt: input is inputCount
-	// records encoded with the job's input codec. On success the
-	// attempt's run file must be readable at replicaPath.
+	// records encoded with the job's input codec, in a pooled blob the
+	// dispatcher owns from the call on — it hands it back with PutBlob
+	// once nothing can read it (or drops it). On success the attempt's
+	// run file must be readable at replicaPath.
 	RunMapAttempt(ctx context.Context, m, task, attempt int, input []byte, inputCount int, replicaPath string) (*RemoteMapResult, error)
 	// RunReduceAttempt dispatches one reduce attempt over the committed
 	// map runs (indexed by map task, all m present).
@@ -110,12 +114,14 @@ type RemoteRunnable interface {
 	JobName() string
 	// ExecRemoteMap runs one typed map attempt over the decoded input
 	// blob and writes the attempt's entire sorted output as one ERN1 run
-	// at runPath. The result's Origin is left empty — serving is the
-	// caller's concern.
+	// at runPath. It does not retain input. The result's Origin is left
+	// empty — serving is the caller's concern — and its Side is a pooled
+	// blob the caller hands back with PutBlob once it is written out.
 	ExecRemoteMap(ctx context.Context, m, task, attempt int, input []byte, inputCount int, runPath string) (*RemoteMapResult, error)
 	// ExecRemoteReduce runs one typed reduce attempt over the map tasks'
 	// run segments, given in map-task order (zero-record segments may be
-	// included; they contribute nothing).
+	// included; they contribute nothing). The result's Output is a
+	// pooled blob, like ExecRemoteMap's Side.
 	ExecRemoteReduce(ctx context.Context, m, task, attempt int, sources []SegmentSource) (*RemoteReduceResult, error)
 }
 
@@ -396,6 +402,8 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 		func(actx context.Context, hook *taskHook, task, attempt int) (remoteMapOut[I], error) {
 			var out remoteMapOut[I]
 			path := filepath.Join(dir, fmt.Sprintf("m%04d-a%03d.run", task, attempt))
+			// The dispatcher owns the input blob from here on and
+			// returns it to the pool once its transport is done with it.
 			rm, err := e.Remote.RunMapAttempt(actx, m, task, attempt, EncodeRecords(ic, input[task]), len(input[task]), path)
 			if err != nil {
 				if !errors.Is(err, ErrNoWorkers) {
@@ -409,11 +417,13 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 					return out, err
 				}
 				out.side = DecodeSlice(ic, rm.Side, rm.SideCount) // round-trip even locally: one code path
+				PutBlob(rm.Side)
 				out.run = RemoteRun{MapTask: task, Path: path, Info: rm.Info}
 				out.metrics = rm.Metrics
 				return out, nil
 			}
 			side, derr := DecodeRecords(ic, rm.Side, rm.SideCount)
+			PutBlob(rm.Side)
 			if derr != nil {
 				os.Remove(path)
 				return out, fmt.Errorf("map task %d: decode side output: %w", task, derr)
@@ -465,6 +475,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 			}
 			out := getOutBuf[O](st.outPool)
 			out, derr := DecodeRecordsInto(oc, rr.Output, rr.OutputCount, out)
+			PutBlob(rr.Output)
 			if derr != nil {
 				putOutBuf(st.outPool, out)
 				return rout, fmt.Errorf("reduce task %d: decode output: %w", task, derr)
@@ -539,13 +550,50 @@ func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hoo
 
 // EncodeRecords concatenates the codec encodings of recs into one blob
 // (nil for an empty slice) — the record-blob convention remote inputs,
-// side outputs, and reduce outputs cross process boundaries in.
+// side outputs, and reduce outputs cross process boundaries in. The
+// blob is appended into a buffer from the record-blob pool; whoever
+// holds it last hands it back with PutBlob once nothing can read it,
+// or drops it for the GC.
 func EncodeRecords[T any](c runio.Codec[T], recs []T) []byte {
-	var b []byte
+	if len(recs) == 0 {
+		return nil
+	}
+	b := blobPool.get()[:0]
 	for i := range recs {
 		b = c.Append(b, recs[i])
 	}
 	return b
+}
+
+// blobPool recycles record-blob buffers: the master's map-input
+// blobs, the blobs both ends of a task dispatch read off the wire, and
+// a worker's side and reduce-output blobs. Steady state, each attempt
+// reuses a buffer a previous one grew instead of growing from nil.
+var blobPool slicePool[byte]
+
+// maxPooledBlob bounds the capacity of pooled blob buffers: an
+// outsized blob is left to the GC rather than pinned by the pool.
+const maxPooledBlob = 64 << 20
+
+// GetBlob returns a length-n buffer from the record-blob pool (its
+// contents are arbitrary), for a receiver to read an n-byte blob into.
+// A pooled buffer too small for n is dropped and an exact one
+// allocated, so the pool converges on buffers that fit.
+func GetBlob(n int) []byte {
+	if b := blobPool.get(); cap(b) >= n {
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
+// PutBlob returns a record blob to the pool. Call it only when nothing
+// can read b any more: decoded records never alias it (the codecs copy,
+// see runio.String), so a blob is free once decoded or written out.
+func PutBlob(b []byte) {
+	if cap(b) == 0 || cap(b) > maxPooledBlob {
+		return
+	}
+	blobPool.put(b[:0])
 }
 
 // DecodeRecords decodes a record blob produced by EncodeRecords. A
