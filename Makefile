@@ -77,8 +77,9 @@ smoke-chaos:
 
 # smoke-dist runs the match pipeline across real worker processes
 # (master + 3 erworkers over HTTP), SIGKILLs one worker mid-reduce,
-# and asserts the output is byte-identical to a local run and that
-# gracefully stopped workers leave empty run directories.
+# and asserts the output has the same lines as a local run (compared
+# sorted: streamed output follows commit order) and that gracefully
+# stopped workers leave empty run directories.
 smoke-dist:
 	scripts/dist_smoke.sh
 

@@ -15,8 +15,8 @@ import (
 // typedAllocCeiling is deliberately above the measured steady state
 // (~63 allocs per run of the fixed job below) to absorb sync.Pool
 // evictions when a GC lands mid-measurement, while still catching the
-// failure modes that matter: per-record boxing (the boxed engine costs
-// ~6400 on the same job), per-put pool box allocation, and
+// failure modes that matter: per-record boxing (an any-keyed dataflow
+// cost ~6400 on the same job), per-put pool box allocation, and
 // append-doubling in the task loops — each of which shows up as
 // hundreds of allocs, not tens.
 const typedAllocCeiling = 150
@@ -55,7 +55,7 @@ func TestTypedEngineAllocsPinned(t *testing.T) {
 				ceiling, mode = obsAllocCeiling, "obs enabled"
 			}
 			run := func() {
-				if _, err := job.Run(&eng, input); err != nil {
+				if _, err := job.RunContext(t.Context(), &eng, input); err != nil {
 					t.Fatal(err)
 				}
 			}

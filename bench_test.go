@@ -199,13 +199,13 @@ func BenchmarkAblationBDMCombiner(b *testing.B) {
 	var reduction float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, plain, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		_, _, plain, err := bdm.ComputeContext(b.Context(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, _, combined, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		_, _, combined, err := bdm.ComputeContext(b.Context(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
 		})
 		if err != nil {
@@ -307,7 +307,7 @@ func BenchmarkBDMJobExecution(b *testing.B) {
 	eng := &mapreduce.Engine{Parallelism: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := bdm.Compute(eng, parts, bdm.JobOptions{
+		if _, _, _, err := bdm.ComputeContext(b.Context(), eng, parts, bdm.JobOptions{
 			Attr: datagen.AttrTitle, KeyFunc: datagen.BlockKey(), NumReduceTasks: 20, UseCombiner: true,
 		}); err != nil {
 			b.Fatal(err)
@@ -346,7 +346,7 @@ func BenchmarkEndToEndStrategies(b *testing.B) {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := er.Run(parts, er.Config{
+				if _, err := er.RunPipeline(b.Context(), er.FromPartitions(parts), er.Config{
 					Strategy:    strat,
 					Attr:        datagen.AttrTitle,
 					BlockKey:    datagen.BlockKey(),
@@ -433,11 +433,10 @@ func shuffleBenchInput(m, perTask int) [][]int {
 	return input
 }
 
-// BenchmarkShuffleMerge pits the engine variants against each other on
-// a shuffle-dominated job (16 map tasks × 4000 records, 8 reduce
-// tasks): the typed engine with and without binary key codes, and the
-// boxed oracle's k-way merge and concat+stable-sort paths. The group
-// makes regressions of any path visible directly in -bench output.
+// BenchmarkShuffleMerge runs a shuffle-dominated job (16 map tasks ×
+// 4000 records, 8 reduce tasks) on the typed engine with and without
+// binary key codes, so a regression of either comparison path shows
+// directly in -bench output.
 func BenchmarkShuffleMerge(b *testing.B) {
 	input := shuffleBenchInput(16, 4000)
 	for _, mode := range []struct {
@@ -447,8 +446,6 @@ func BenchmarkShuffleMerge(b *testing.B) {
 	}{
 		{name: "typed-coded", coded: true, eng: mapreduce.Engine{Parallelism: 4}},
 		{name: "typed", eng: mapreduce.Engine{Parallelism: 4}},
-		{name: "kway", eng: mapreduce.Engine{Parallelism: 4, Dataflow: mapreduce.DataflowBoxed}},
-		{name: "concat-sort", eng: mapreduce.Engine{Parallelism: 4, Dataflow: mapreduce.DataflowBoxed, Shuffle: mapreduce.ShuffleConcatSort}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			job := shuffleBenchJob(8, mode.coded)
@@ -456,7 +453,7 @@ func BenchmarkShuffleMerge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := job.Run(&eng, input); err != nil {
+				if _, err := job.RunContext(b.Context(), &eng, input); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -464,32 +461,21 @@ func BenchmarkShuffleMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAllocs tracks the engines' per-job allocation
+// BenchmarkEngineAllocs tracks the typed engine's per-job allocation
 // footprint on a small fixed job so that allocs/op regressions in the
 // task hot paths (bucketing, spill sort, group streaming) are caught.
-// The typed/boxed pair documents the per-record boxing cost the typed
-// dataflow removes.
 func BenchmarkEngineAllocs(b *testing.B) {
 	input := shuffleBenchInput(4, 500)
-	for _, mode := range []struct {
-		name string
-		eng  mapreduce.Engine
-	}{
-		{name: "typed", eng: mapreduce.Engine{}},
-		{name: "boxed", eng: mapreduce.Engine{Dataflow: mapreduce.DataflowBoxed}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			job := shuffleBenchJob(4, true)
-			eng := mode.eng
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := job.Run(&eng, input); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("typed", func(b *testing.B) {
+		job := shuffleBenchJob(4, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := job.RunContext(b.Context(), &mapreduce.Engine{}, input); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSchedule measures the cluster simulator's list scheduler.
@@ -515,7 +501,7 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := er.Run(parts, er.Config{
+		if _, err := er.RunPipeline(b.Context(), er.FromPartitions(parts), er.Config{
 			Strategy:        core.PairRange{},
 			Attr:            datagen.AttrTitle,
 			BlockKey:        blocking.NormalizedPrefix(3),
@@ -544,7 +530,7 @@ func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := er.Run(parts, er.Config{
+		if _, err := er.RunPipeline(b.Context(), er.FromPartitions(parts), er.Config{
 			Strategy:   core.PairRange{},
 			Attr:       datagen.AttrTitle,
 			BlockKey:   blocking.NormalizedPrefix(3),

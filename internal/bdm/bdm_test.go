@@ -131,7 +131,7 @@ func TestMRJobAgreesWithDirectBuilder(t *testing.T) {
 		}
 		for _, combiner := range []bool{false, true} {
 			r := rng.Intn(7) + 1
-			got, side, _, err := Compute(&mapreduce.Engine{}, parts, JobOptions{
+			got, side, _, err := ComputeContext(t.Context(), &mapreduce.Engine{}, parts, JobOptions{
 				Attr: "k", KeyFunc: blocking.Identity(), NumReduceTasks: r, UseCombiner: combiner,
 			})
 			if err != nil {

@@ -21,7 +21,7 @@ func (k Key) String() string { return fmt.Sprintf("%s.%d", k.BlockKey, k.Partiti
 
 // compareKeys sorts by blocking key, then partition index.
 func compareKeys(a, b Key) int {
-	if c := mapreduce.CompareStrings(a.BlockKey, b.BlockKey); c != 0 {
+	if c := strings.Compare(a.BlockKey, b.BlockKey); c != 0 {
 		return c
 	}
 	return mapreduce.CompareInts(a.Partition, b.Partition)
@@ -143,13 +143,6 @@ func (c *countCombiner) Combine(ctx *mapreduce.MapContext[Annotated, Key, int], 
 		sum += v.Value
 	}
 	ctx.Emit(key, sum)
-}
-
-// Compute runs Algorithm 3 over the partitioned input — the pre-context
-// adapter over ComputeContext.
-func Compute(eng *mapreduce.Engine, parts entity.Partitions, opts JobOptions) (*Matrix, [][]Annotated, *JobResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return ComputeContext(context.Background(), eng, parts, opts)
 }
 
 // ComputeContext runs Algorithm 3 over the partitioned input and returns

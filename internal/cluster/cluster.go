@@ -325,7 +325,7 @@ func SimulateJob(cfg Config, cm CostModel, w JobWorkload) (JobResult, error) {
 }
 
 // WorkloadFromResult extracts a JobWorkload from an executed MR job's
-// metrics (the Metrics part shared by typed and boxed results). The
+// metrics (the Metrics part every dataflow's Result carries). The
 // "comparisons" user counter must have been maintained by the reduce
 // function (the strategies in internal/core do).
 func WorkloadFromResult(res *mapreduce.Metrics) JobWorkload {

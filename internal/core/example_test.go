@@ -73,7 +73,7 @@ func TestPaperExampleBDMViaMapReduce(t *testing.T) {
 	// builder, with and without the combiner.
 	for _, combiner := range []bool{false, true} {
 		eng := &mapreduce.Engine{}
-		x, side, res, err := bdm.Compute(eng, exampleParts(), bdm.JobOptions{
+		x, side, res, err := bdm.ComputeContext(t.Context(), eng, exampleParts(), bdm.JobOptions{
 			Attr:           exAttr,
 			KeyFunc:        blocking.Identity(),
 			NumReduceTasks: 3,
@@ -151,7 +151,7 @@ func TestPaperExampleBlockSplitExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotated(exampleParts()))
+	res, err := job.RunContext(t.Context(), &mapreduce.Engine{}, annotated(exampleParts()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestPaperExamplePairRangeExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}
-	res, err := job.Run(&mapreduce.Engine{}, annotated(exampleParts()))
+	res, err := job.RunContext(t.Context(), &mapreduce.Engine{}, annotated(exampleParts()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -200,7 +200,7 @@ func miscount(body []byte) []byte {
 // run after retrying exactly the damaged attempts.
 func TestMasterRetriesCorruptResponse(t *testing.T) {
 	input := testInput()
-	want, err := testJob(true).Run(&mapreduce.Engine{}, input)
+	want, err := testJob(true).RunContext(t.Context(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMasterRetriesCorruptResponse(t *testing.T) {
 				mu.Unlock()
 				return !mapreduce.IsFatal(err)
 			}
-			got, err := testJob(true).Run(e, input)
+			got, err := testJob(true).RunContext(t.Context(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		R:           4,
 		UseCombiner: true,
 	}
-	mem, err := er.Run(parts, base)
+	mem, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	ext := base
 	ext.SpillBudget = 32
 	ext.TmpDir = tmp
-	res, err := er.Run(parts, ext)
+	res, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), ext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	}
 
 	// Dual plumbing.
-	dmem, err := er.RunDual(parts[:2], parts[2:], er.DualConfig{
+	dmem, err := er.RunDualPipeline(t.Context(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
 		Strategy: core.PairRangeDual{},
 		Attr:     "title",
 		BlockKey: blocking.NormalizedPrefix(3),
@@ -73,7 +73,7 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dext, err := er.RunDual(parts[:2], parts[2:], er.DualConfig{
+	dext, err := er.RunDualPipeline(t.Context(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
 		Strategy:   core.PairRangeDual{},
 		Attr:       "title",
 		BlockKey:   blocking.NormalizedPrefix(3),

@@ -120,7 +120,6 @@ func TestERChaosDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 3)
 	dataflows := map[string]mapreduce.DataflowMode{
 		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
 		"external": mapreduce.DataflowExternal,
 	}
 	for dname, dataflow := range dataflows {
@@ -156,7 +155,6 @@ func TestERFaultScheduleDifferential(t *testing.T) {
 	parts := entity.SplitRoundRobin(testEntities(150, 3), 3)
 	dataflows := map[string]mapreduce.DataflowMode{
 		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
 		"external": mapreduce.DataflowExternal,
 	}
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {

@@ -18,7 +18,7 @@ import (
 //	          ∪ match⊥(R∅)              (Cartesian product within R∅)
 //
 // where ⊥ is a constant blocking key so that every pair is considered.
-// RunWithMissingKeys implements this decomposition with the library's
+// RunWithMissingKeysPipeline implements this decomposition with the library's
 // existing one- and two-source pipelines.
 
 // noKeySentinel is the constant ⊥ block used for the Cartesian parts.
@@ -48,13 +48,6 @@ func dualStrategyFor(s core.Strategy) core.DualStrategy {
 		return core.PairRangeDual{}
 	}
 	return core.BlockSplitDual{}
-}
-
-// RunWithMissingKeys runs the full decomposition — the pre-context
-// adapter over RunWithMissingKeysPipeline.
-func RunWithMissingKeys(parts entity.Partitions, cfg Config) (*MissingKeyResult, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunWithMissingKeysPipeline(context.Background(), FromPartitions(parts), cfg)
 }
 
 // RunWithMissingKeysPipeline runs the full decomposition over the

@@ -13,10 +13,10 @@ import (
 )
 
 // This file is the task-attempt supervision layer shared by all three
-// dataflows (typed, boxed, external). Every map and reduce task executes
-// as a sequence of *attempts*: a panic or error inside one attempt fails
-// only that attempt, the RetryPolicy decides whether and when the task
-// re-runs, and straggling tasks can be speculatively duplicated — the
+// production paths (typed, external, remote). Every map and reduce task
+// executes as a sequence of *attempts*: a panic or error inside one
+// attempt fails only that attempt, the RetryPolicy decides whether and
+// when the task re-runs, and straggling tasks can be speculatively duplicated — the
 // first attempt to finish commits, the loser is cancelled. Correctness
 // under retries and duplicate attempts rests on a task-commit protocol:
 // an attempt accumulates all of its observable output (records, side
@@ -459,7 +459,7 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 }
 
 // funcTaskOps adapts free functions to taskOps for the call sites that
-// build their phases from closures (boxed and external dataflows).
+// build their phases from closures (the external and remote paths).
 type funcTaskOps[T any] struct {
 	run     func(ctx context.Context, hook *taskHook, task, attempt int) (T, error)
 	commit  func(task int, out T) error
@@ -473,7 +473,7 @@ func (o *funcTaskOps[T]) commitTask(task int, out T) error { return o.commit(tas
 func (o *funcTaskOps[T]) discardOut(out T)                 { o.discard(out) }
 
 // superviseTasks is the closure-based entry point over
-// taskSupervisor.supervise, used by the boxed and external dataflows.
+// taskSupervisor.supervise, used by the external and remote paths.
 func superviseTasks[T any](
 	ctx context.Context,
 	e *Engine,

@@ -83,9 +83,9 @@ func checkCancelled(t *testing.T, err error, before int, tmp string) {
 
 func TestCancelMidPhase(t *testing.T) {
 	dataflows := map[string]mapreduce.DataflowMode{
-		"typed":    mapreduce.DataflowTyped,
-		"boxed":    mapreduce.DataflowBoxed,
-		"external": mapreduce.DataflowExternal,
+		"typed":     mapreduce.DataflowTyped,
+		"external":  mapreduce.DataflowExternal,
+		"reference": mapreduce.DataflowReference,
 	}
 	phases := map[string]mapreduce.TaskKind{
 		"map":    mapreduce.MapTask,
@@ -114,7 +114,7 @@ func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowExternal, mapreduce.DataflowReference,
 	} {
 		e, _ := engineFor(t, dataflow)
 		ran := false
@@ -131,34 +131,4 @@ func TestCancelBeforeRun(t *testing.T) {
 			t.Fatalf("dataflow %v: map task ran despite pre-cancelled context", e.Dataflow)
 		}
 	}
-}
-
-// TestCancelBoxedEngine covers the boxed engine's own RunContext (the
-// legacy any-keyed entry point, not routed through a typed job).
-func TestCancelBoxedEngine(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	job := &mapreduce.BoxedJob{
-		Name:           "boxed-cancel",
-		NumReduceTasks: 2,
-		NewMapper: func() mapreduce.BoxedMapper {
-			return &mapreduce.FuncMapper{OnMap: func(c *mapreduce.BoxedContext, kv mapreduce.KeyValue) {
-				cancel()
-				c.Emit(kv.Key, 1)
-			}}
-		},
-		NewReducer: func() mapreduce.BoxedReducer {
-			return &mapreduce.FuncReducer{OnReduce: func(c *mapreduce.BoxedContext, key any, vs []mapreduce.KeyValue) {}}
-		},
-		Partition: func(key any, r int) int { return mapreduce.HashPartition(key.(string), r) },
-		Compare:   mapreduce.CompareStrings,
-	}
-	input := [][]mapreduce.KeyValue{{{Key: "a"}, {Key: "b"}}, {{Key: "c"}}}
-	e := &mapreduce.Engine{Parallelism: 2}
-	before := testleak.Snapshot()
-	res, err := e.RunContext(ctx, job, input)
-	if res != nil {
-		t.Fatal("cancelled run returned a result")
-	}
-	checkCancelled(t, err, before, "")
 }

@@ -1,15 +1,15 @@
 package mapreduce_test
 
 // Dataflow differential test: every strategy of the paper must produce
-// byte-identical Results on the typed engine (concrete record types +
-// binary key codes) and on the boxed any-based oracle it replaced. The
+// byte-identical Results on the typed engine (binary key codes, pooled
+// buffers, the k-way merge heap, task supervision) and on the serial
+// reference dataflow (concatenate, stable-sort, group). The
 // comparison covers the complete Result — match pairs, comparison
 // counts, raw job outputs, side outputs, and every TaskMetrics field —
 // across Basic/BlockSplit/PairRange × 1..4 map partitions × 1..8 reduce
 // tasks and both dual-source strategies, each with sequential
-// (Parallelism 1) and concurrent (Parallelism 4) execution. This is the
-// proof that killing interface boxing changed the representation of the
-// dataflow and nothing else.
+// (Parallelism 1) and concurrent (Parallelism 4) execution of the typed
+// engine.
 
 import (
 	"fmt"
@@ -51,27 +51,27 @@ func TestDataflowDifferentialStrategies(t *testing.T) {
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: par}
-					typed, err := er.Run(parts, cfg)
+					typed, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: typed run: %v", name, err)
 					}
 
-					cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowBoxed}
-					boxed, err := er.Run(parts, cfg)
+					cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowReference}
+					ref, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
-						t.Fatalf("%s: boxed oracle run: %v", name, err)
+						t.Fatalf("%s: reference run: %v", name, err)
 					}
 
-					if !reflect.DeepEqual(typed.Matches, boxed.Matches) {
+					if !reflect.DeepEqual(typed.Matches, ref.Matches) {
 						t.Errorf("%s: match pairs diverge between dataflows", name)
 					}
-					if typed.Comparisons != boxed.Comparisons {
-						t.Errorf("%s: comparisons %d (typed) != %d (boxed)", name, typed.Comparisons, boxed.Comparisons)
+					if typed.Comparisons != ref.Comparisons {
+						t.Errorf("%s: comparisons %d (typed) != %d (reference)", name, typed.Comparisons, ref.Comparisons)
 					}
-					if !reflect.DeepEqual(typed.BDMResult, boxed.BDMResult) {
+					if !reflect.DeepEqual(typed.BDMResult, ref.BDMResult) {
 						t.Errorf("%s: BDM job Result (incl. TaskMetrics) diverges between dataflows", name)
 					}
-					if !reflect.DeepEqual(typed.MatchResult, boxed.MatchResult) {
+					if !reflect.DeepEqual(typed.MatchResult, ref.MatchResult) {
 						t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between dataflows", name)
 					}
 				}
@@ -124,24 +124,24 @@ func TestDataflowDifferentialDualStrategies(t *testing.T) {
 						}
 
 						cfg.Engine = &mapreduce.Engine{Parallelism: par}
-						typed, err := er.RunDual(partsR, partsS, cfg)
+						typed, err := er.RunDualPipeline(t.Context(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
 							t.Fatalf("%s: typed run: %v", name, err)
 						}
 
-						cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowBoxed}
-						boxed, err := er.RunDual(partsR, partsS, cfg)
+						cfg.Engine = &mapreduce.Engine{Parallelism: par, Dataflow: mapreduce.DataflowReference}
+						ref, err := er.RunDualPipeline(t.Context(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
-							t.Fatalf("%s: boxed oracle run: %v", name, err)
+							t.Fatalf("%s: reference run: %v", name, err)
 						}
 
-						if !reflect.DeepEqual(typed.Matches, boxed.Matches) {
+						if !reflect.DeepEqual(typed.Matches, ref.Matches) {
 							t.Errorf("%s: match pairs diverge between dataflows", name)
 						}
-						if typed.Comparisons != boxed.Comparisons {
-							t.Errorf("%s: comparisons %d (typed) != %d (boxed)", name, typed.Comparisons, boxed.Comparisons)
+						if typed.Comparisons != ref.Comparisons {
+							t.Errorf("%s: comparisons %d (typed) != %d (reference)", name, typed.Comparisons, ref.Comparisons)
 						}
-						if !reflect.DeepEqual(typed.MatchResult, boxed.MatchResult) {
+						if !reflect.DeepEqual(typed.MatchResult, ref.MatchResult) {
 							t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between dataflows", name)
 						}
 					}
@@ -168,15 +168,15 @@ func TestDataflowDifferentialSideOutput(t *testing.T) {
 			input[i][k] = bdm.Annotated{Value: e}
 		}
 	}
-	typed, err := job.Run(&mapreduce.Engine{Parallelism: 2}, input)
+	typed, err := job.RunContext(t.Context(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)
 	}
-	boxed, err := job.Run(&mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowBoxed}, input)
+	ref, err := job.RunContext(t.Context(), &mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowReference}, input)
 	if err != nil {
-		t.Fatalf("boxed oracle run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
-	if !reflect.DeepEqual(typed, boxed) {
-		t.Errorf("BDM job Result (incl. SideOutput) diverges between dataflows\ntyped: %+v\nboxed: %+v", typed, boxed)
+	if !reflect.DeepEqual(typed, ref) {
+		t.Errorf("BDM job Result (incl. SideOutput) diverges between dataflows\ntyped: %+v\nreference: %+v", typed, ref)
 	}
 }

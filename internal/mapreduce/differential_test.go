@@ -1,130 +1,109 @@
-package mapreduce
+package mapreduce_test
+
+// This file checks the production dataflows against the serial
+// reference dataflow (DataflowReference), the plain model of Section
+// II: map every record, bucket by part, concatenate each reduce task's
+// buckets in map-task order, stable-sort by comp, reduce each group.
+// Random jobs over random inputs must produce the identical Result:
+// output, side output and every TaskMetrics field (the external
+// dataflow's spill counters excepted).
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/mapreduce"
 )
 
-// This file checks the engine against a deliberately naive sequential
-// reference implementation of the MapReduce model of Section II:
-// map every record, bucket by part, sort each bucket by comp keeping
-// map-task order for ties, group by group, reduce each group. Random
-// jobs over random inputs must agree exactly.
-
-// refRecord tags a map-output pair with its origin for the stable tie
-// ordering.
-type refRecord struct {
-	kv      KeyValue
-	mapTask int
-	seq     int
-}
-
-// referenceRun is the naive model implementation.
-func referenceRun(job *BoxedJob, input [][]KeyValue) []KeyValue {
-	r := job.NumReduceTasks
-	buckets := make([][]refRecord, r)
-	for mi, part := range input {
-		mapper := job.NewMapper()
-		mapper.Configure(len(input), r, mi)
-		ctx := &BoxedContext{metrics: &TaskMetrics{}}
-		for _, kv := range part {
-			mapper.Map(ctx, kv)
-		}
-		for seq, kv := range ctx.out {
-			p := job.Partition(kv.Key, r)
-			buckets[p] = append(buckets[p], refRecord{kv: kv, mapTask: mi, seq: seq})
-		}
-	}
-	var out []KeyValue
-	for ri := 0; ri < r; ri++ {
-		b := buckets[ri]
-		slices.SortStableFunc(b, func(x, y refRecord) int {
-			if c := job.Compare(x.kv.Key, y.kv.Key); c != 0 {
-				return c
-			}
-			if c := x.mapTask - y.mapTask; c != 0 {
-				return c
-			}
-			return x.seq - y.seq
-		})
-		reducer := job.NewReducer()
-		reducer.Configure(len(input), r, ri)
-		ctx := &BoxedContext{metrics: &TaskMetrics{}}
-		group := func(a, b any) int {
-			if job.Group != nil {
-				return job.Group(a, b)
-			}
-			return job.Compare(a, b)
-		}
-		for lo := 0; lo < len(b); {
-			hi := lo + 1
-			for hi < len(b) && group(b[lo].kv.Key, b[hi].kv.Key) == 0 {
-				hi++
-			}
-			vals := make([]KeyValue, hi-lo)
-			for i := lo; i < hi; i++ {
-				vals[i-lo] = b[i].kv
-			}
-			reducer.Reduce(ctx, b[lo].kv.Key, vals)
-			lo = hi
-		}
-		out = append(out, ctx.out...)
-	}
-	return out
-}
-
-// randomJob builds a job with composite integer keys whose partition,
-// sort, and group functions exercise different key components.
-func randomJob(rng *rand.Rand, r int) *BoxedJob {
-	type ck struct{ a, b, c int }
-	return &BoxedJob{
+// randomJob builds a job with composite keys whose partition, sort, and
+// group functions exercise different key components.
+func randomJob(r int) *mapreduce.Job[int, ckey, int, mapreduce.Pair[ckey, string]] {
+	return &mapreduce.Job[int, ckey, int, mapreduce.Pair[ckey, string]]{
 		Name:           "differential",
 		NumReduceTasks: r,
-		NewMapper: func() BoxedMapper {
-			return &FuncMapper{
-				OnMap: func(ctx *BoxedContext, kv KeyValue) {
-					v := kv.Value.(int)
+		NewMapper: func() mapreduce.Mapper[int, ckey, int] {
+			return &mapreduce.MapperFunc[int, ckey, int]{
+				OnMap: func(ctx *mapreduce.MapContext[int, ckey, int], v int) {
 					// Deterministic fan-out of 1-3 records per input.
 					n := v%3 + 1
 					for i := 0; i < n; i++ {
-						ctx.Emit(ck{a: v % 5, b: (v + i) % 7, c: v % 2}, v*10+i)
+						ctx.Emit(ckey{A: v % 5, B: (v + i) % 7, C: v % 2}, v*10+i)
 					}
 				},
 			}
 		},
-		NewReducer: func() BoxedReducer {
-			return &FuncReducer{
-				OnReduce: func(ctx *BoxedContext, key any, values []KeyValue) {
-					sum := 0
+		NewReducer: func() mapreduce.Reducer[ckey, int, mapreduce.Pair[ckey, string]] {
+			return &mapreduce.ReducerFunc[ckey, int, mapreduce.Pair[ckey, string]]{
+				OnReduce: func(ctx *mapreduce.ReduceContext[mapreduce.Pair[ckey, string]], key ckey, values []mapreduce.Rec[ckey, int]) {
+					// The value sequence, in arrival order, makes the
+					// output sensitive to the merge order of equal keys.
+					var b strings.Builder
 					for _, v := range values {
-						sum += v.Value.(int)
+						fmt.Fprintf(&b, "%d/%d ", v.Key.C, v.Value)
 					}
-					ctx.Emit(key, fmt.Sprintf("n=%d sum=%d", len(values), sum))
+					ctx.Emit(mapreduce.Pair[ckey, string]{Key: key, Value: b.String()})
 				},
 			}
 		},
-		Partition: func(key any, r int) int { return key.(ck).a % r },
-		Compare: func(x, y any) int {
-			kx, ky := x.(ck), y.(ck)
-			if c := CompareInts(kx.a, ky.a); c != 0 {
-				return c
-			}
-			if c := CompareInts(kx.b, ky.b); c != 0 {
-				return c
-			}
-			return CompareInts(kx.c, ky.c)
-		},
-		// Group on (a, b) only: coarser than the sort.
-		Group: func(x, y any) int {
-			kx, ky := x.(ck), y.(ck)
-			if c := CompareInts(kx.a, ky.a); c != 0 {
-				return c
-			}
-			return CompareInts(kx.b, ky.b)
-		},
+		Partition: func(key ckey, r int) int { return key.A % r },
+		Compare:   compareCKeys,
+		// Group on (A, B) only: coarser than the sort.
+		Group: func(x, y ckey) int { return compareCKeys(ckey{A: x.A, B: x.B}, ckey{A: y.A, B: y.B}) },
+	}
+}
+
+// passThroughCombiner re-emits each value under its own key: it changes
+// nothing but still exercises the map-side grouping machinery.
+type passThroughCombiner struct{}
+
+func (passThroughCombiner) Configure(m, r, taskIndex int) {}
+func (passThroughCombiner) Combine(ctx *mapreduce.MapContext[int, ckey, int], _ ckey, values []mapreduce.Rec[ckey, int]) {
+	for _, v := range values {
+		ctx.Emit(v.Key, v.Value)
+	}
+}
+
+func randomInput(rng *rand.Rand, m, maxLen, maxVal int) [][]int {
+	input := make([][]int, m)
+	for i := range input {
+		input[i] = make([]int, rng.Intn(maxLen))
+		for j := range input[i] {
+			input[i][j] = rng.Intn(maxVal)
+		}
+	}
+	return input
+}
+
+// checkAgainstReference runs job on the typed dataflow at parallelism 1
+// and 4 and on the external dataflow, and requires each full Result to
+// equal the reference dataflow's.
+func checkAgainstReference(t *testing.T, label string, job *mapreduce.Job[int, ckey, int, mapreduce.Pair[ckey, string]], input [][]int) {
+	t.Helper()
+	want, err := job.RunContext(t.Context(), &mapreduce.Engine{Dataflow: mapreduce.DataflowReference}, input)
+	if err != nil {
+		t.Fatalf("%s (reference): %v", label, err)
+	}
+	for _, run := range []struct {
+		name string
+		eng  *mapreduce.Engine
+	}{
+		{"typed par=1", &mapreduce.Engine{Parallelism: 1}},
+		{"typed par=4", &mapreduce.Engine{Parallelism: 4}},
+		{"external", &mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowExternal, SpillBudget: 64, TmpDir: t.TempDir()}},
+	} {
+		got, err := job.RunContext(t.Context(), run.eng, input)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", label, run.name, err)
+		}
+		clearSpillCounters(got.MapMetrics)
+		clearSpillCounters(got.ReduceMetrics)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s Result diverges from the reference dataflow\ngot:       %+v\nreference: %+v",
+				label, run.name, got, want)
+		}
 	}
 }
 
@@ -133,84 +112,21 @@ func TestEngineAgainstReferenceModel(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		m := rng.Intn(5) + 1
 		r := rng.Intn(6) + 1
-		input := make([][]KeyValue, m)
-		for i := range input {
-			n := rng.Intn(30)
-			input[i] = make([]KeyValue, n)
-			for j := range input[i] {
-				input[i][j] = KeyValue{Value: rng.Intn(100)}
-			}
-		}
-		job := randomJob(rng, r)
-		want := referenceRun(job, input)
-		for _, par := range []int{1, 4} {
-			got, err := (&Engine{Parallelism: par}).Run(job, input)
-			if err != nil {
-				t.Fatalf("trial %d (par=%d): %v", trial, par, err)
-			}
-			if !reflect.DeepEqual(got.Output, nonEmpty(want)) && !reflect.DeepEqual(nonEmpty(got.Output), nonEmpty(want)) {
-				t.Fatalf("trial %d (m=%d r=%d par=%d): engine output diverges from the reference model\nengine:    %v\nreference: %v",
-					trial, m, r, par, got.Output, want)
-			}
-			// The streaming k-way merge must produce a BoxedResult that is
-			// byte-identical — output, side output, and every TaskMetrics
-			// field — to the concat+stable-sort oracle path.
-			oracle, err := (&Engine{Parallelism: par, Shuffle: ShuffleConcatSort}).Run(job, input)
-			if err != nil {
-				t.Fatalf("trial %d (par=%d, oracle): %v", trial, par, err)
-			}
-			if !reflect.DeepEqual(got, oracle) {
-				t.Fatalf("trial %d (m=%d r=%d par=%d): k-way merge BoxedResult diverges from concat+sort oracle\nmerge:  %+v\noracle: %+v",
-					trial, m, r, par, got, oracle)
-			}
-		}
+		input := randomInput(rng, m, 30, 100)
+		checkAgainstReference(t, fmt.Sprintf("trial %d (m=%d r=%d)", trial, m, r), randomJob(r), input)
 	}
 }
 
-// TestShuffleModesAgreeOnCombinerJobs covers the combiner path (shared
-// map side, both reduce paths) against the oracle as well.
+// TestShuffleModesAgreeOnCombinerJobs covers the combiner path against
+// the reference as well.
 func TestShuffleModesAgreeOnCombinerJobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
 		m := rng.Intn(4) + 1
 		r := rng.Intn(5) + 1
-		input := make([][]KeyValue, m)
-		for i := range input {
-			n := rng.Intn(40)
-			input[i] = make([]KeyValue, n)
-			for j := range input[i] {
-				input[i][j] = KeyValue{Value: rng.Intn(60)}
-			}
-		}
-		job := randomJob(rng, r)
-		job.NewCombiner = func() BoxedReducer {
-			return &FuncReducer{
-				OnReduce: func(ctx *BoxedContext, key any, values []KeyValue) {
-					// Re-emit each value under its own key: a pass-through
-					// combiner that still exercises the grouping machinery.
-					for _, v := range values {
-						ctx.Emit(v.Key, v.Value)
-					}
-				},
-			}
-		}
-		merge, err := (&Engine{Parallelism: 2}).Run(job, input)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		oracle, err := (&Engine{Parallelism: 2, Shuffle: ShuffleConcatSort}).Run(job, input)
-		if err != nil {
-			t.Fatalf("trial %d (oracle): %v", trial, err)
-		}
-		if !reflect.DeepEqual(merge, oracle) {
-			t.Fatalf("trial %d (m=%d r=%d): combiner job BoxedResult diverges between shuffle modes", trial, m, r)
-		}
+		input := randomInput(rng, m, 40, 60)
+		job := randomJob(r)
+		job.NewCombiner = func() mapreduce.Combiner[int, ckey, int] { return passThroughCombiner{} }
+		checkAgainstReference(t, fmt.Sprintf("trial %d (m=%d r=%d, combiner)", trial, m, r), job, input)
 	}
-}
-
-func nonEmpty(kvs []KeyValue) []KeyValue {
-	if kvs == nil {
-		return []KeyValue{}
-	}
-	return kvs
 }

@@ -71,7 +71,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: par}
-					typed, err := er.Run(parts, cfg)
+					typed, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: typed run: %v", name, err)
 					}
@@ -82,7 +82,7 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 						SpillBudget: tinySpillBudget,
 						TmpDir:      tmp,
 					}
-					ext, err := er.Run(parts, cfg)
+					ext, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: external run: %v", name, err)
 					}
@@ -137,7 +137,7 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 						}
 
 						cfg.Engine = &mapreduce.Engine{Parallelism: par}
-						typed, err := er.RunDual(partsR, partsS, cfg)
+						typed, err := er.RunDualPipeline(t.Context(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
 							t.Fatalf("%s: typed run: %v", name, err)
 						}
@@ -148,7 +148,7 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 							SpillBudget: tinySpillBudget,
 							TmpDir:      tmp,
 						}
-						ext, err := er.RunDual(partsR, partsS, cfg)
+						ext, err := er.RunDualPipeline(t.Context(), er.FromPartitions(partsR), er.FromPartitions(partsS), cfg)
 						if err != nil {
 							t.Fatalf("%s: external run: %v", name, err)
 						}
@@ -192,11 +192,11 @@ func TestExternalDifferentialSideOutput(t *testing.T) {
 			input[i][k] = bdm.Annotated{Value: e}
 		}
 	}
-	typed, err := job.Run(&mapreduce.Engine{Parallelism: 2}, input)
+	typed, err := job.RunContext(t.Context(), &mapreduce.Engine{Parallelism: 2}, input)
 	if err != nil {
 		t.Fatalf("typed run: %v", err)
 	}
-	ext, err := job.Run(&mapreduce.Engine{
+	ext, err := job.RunContext(t.Context(), &mapreduce.Engine{
 		Parallelism: 2,
 		Dataflow:    mapreduce.DataflowExternal,
 		SpillBudget: tinySpillBudget,

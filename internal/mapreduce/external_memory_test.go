@@ -107,7 +107,7 @@ func TestExternalShuffleMemoryBounded(t *testing.T) {
 		var res *mapreduce.Result[int, int]
 		var err error
 		peak := sampleHeapDuring(func() {
-			res, err = job.Run(e, input)
+			res, err = job.RunContext(t.Context(), e, input)
 		})
 		if err != nil {
 			t.Fatal(err)

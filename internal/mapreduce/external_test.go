@@ -107,12 +107,12 @@ func TestExternalWordCountDifferential(t *testing.T) {
 				input := wordInput(m)
 				job := wordJob(4, combine)
 
-				typed, err := job.Run(&mapreduce.Engine{}, input)
+				typed, err := job.RunContext(t.Context(), &mapreduce.Engine{}, input)
 				if err != nil {
 					t.Fatalf("%s: typed: %v", name, err)
 				}
 				tmp := t.TempDir()
-				ext, err := job.Run(&mapreduce.Engine{
+				ext, err := job.RunContext(t.Context(), &mapreduce.Engine{
 					Dataflow:    mapreduce.DataflowExternal,
 					SpillBudget: budget,
 					TmpDir:      tmp,
@@ -163,11 +163,11 @@ func TestExternalNoCoding(t *testing.T) {
 	input := wordInput(3)
 	job := wordJob(4, true)
 	job.Coding = mapreduce.KeyCoding[string]{}
-	typed, err := job.Run(&mapreduce.Engine{}, input)
+	typed, err := job.RunContext(t.Context(), &mapreduce.Engine{}, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := job.Run(&mapreduce.Engine{
+	ext, err := job.RunContext(t.Context(), &mapreduce.Engine{
 		Dataflow:    mapreduce.DataflowExternal,
 		SpillBudget: 64,
 		TmpDir:      t.TempDir(),
@@ -195,7 +195,7 @@ func TestExternalTempCleanupOnError(t *testing.T) {
 		}
 	}
 	tmp := t.TempDir()
-	_, err := job.Run(&mapreduce.Engine{
+	_, err := job.RunContext(t.Context(), &mapreduce.Engine{
 		Dataflow:    mapreduce.DataflowExternal,
 		SpillBudget: 1,
 		TmpDir:      tmp,
@@ -221,7 +221,7 @@ func TestExternalTempCleanupOnError(t *testing.T) {
 			},
 		}
 	}
-	if _, err := job2.Run(&mapreduce.Engine{Dataflow: mapreduce.DataflowExternal, SpillBudget: 1, TmpDir: tmp}, input); err == nil {
+	if _, err := job2.RunContext(t.Context(), &mapreduce.Engine{Dataflow: mapreduce.DataflowExternal, SpillBudget: 1, TmpDir: tmp}, input); err == nil {
 		t.Fatal("map-side failure not reported")
 	}
 	if ents, _ := os.ReadDir(tmp); len(ents) != 0 {
@@ -250,7 +250,7 @@ func TestExternalMissingCodec(t *testing.T) {
 		Partition: func(k unregisteredKey, r int) int { return 0 },
 		Compare:   func(a, b unregisteredKey) int { return a.X - b.X },
 	}
-	_, err := job.Run(&mapreduce.Engine{Dataflow: mapreduce.DataflowExternal}, [][]string{{"x"}})
+	_, err := job.RunContext(t.Context(), &mapreduce.Engine{Dataflow: mapreduce.DataflowExternal}, [][]string{{"x"}})
 	if err == nil || !strings.Contains(err.Error(), "no runio codec") {
 		t.Fatalf("err = %v, want missing-codec error", err)
 	}

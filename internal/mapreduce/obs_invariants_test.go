@@ -1,8 +1,8 @@
 package mapreduce_test
 
 // Trace-invariant suite: structural properties every recorded timeline
-// must satisfy, checked on chaos runs across all three dataflows and on
-// a speculative run. The invariants are the contract DESIGN.md's
+// must satisfy, checked on chaos runs on the typed and external
+// dataflows and on a speculative run. The invariants are the contract DESIGN.md's
 // "Observability" section states:
 //
 //  1. Pairing — every End event has a matching Begin with the same
@@ -197,7 +197,7 @@ func TestTraceInvariantsUnderChaos(t *testing.T) {
 				e.Obs = obs.New(obs.Options{Log: obs.Quiet()})
 				e.Retry.BaseBackoff = time.Microsecond
 				e.FaultHook = mapreduce.ChaosHook(seed, 0.3, 0)
-				res, err := wordJob(r, dataflow == mapreduce.DataflowExternal).Run(e, input)
+				res, err := wordJob(r, dataflow == mapreduce.DataflowExternal).RunContext(t.Context(), e, input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func TestTraceInvariantsUnderSpeculation(t *testing.T) {
 				}
 				return nil
 			}
-			res, err := wordJob(r, false).Run(e, input)
+			res, err := wordJob(r, false).RunContext(t.Context(), e, input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestTracerOverflowKeepsPrefix(t *testing.T) {
 	const m, r = 4, 5
 	e := &mapreduce.Engine{Parallelism: 2}
 	e.Obs = obs.New(obs.Options{TraceCapacity: 8, Log: obs.Quiet()})
-	if _, err := wordJob(r, false).Run(e, wordInput(m)); err != nil {
+	if _, err := wordJob(r, false).RunContext(t.Context(), e, wordInput(m)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Obs.Tracer.Dropped() == 0 {

@@ -122,7 +122,7 @@ func TestEngineSortParallelismDifferential(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		for _, flow := range []DataflowMode{DataflowTyped, DataflowExternal} {
 			e := &Engine{Parallelism: par, Dataflow: flow, SpillBudget: 1 << 16, TmpDir: t.TempDir()}
-			res, err := sortHeavyJob().Run(e, input)
+			res, err := sortHeavyJob().RunContext(t.Context(), e, input)
 			if err != nil {
 				t.Fatalf("parallelism=%d dataflow=%v: %v", par, flow, err)
 			}
@@ -199,7 +199,7 @@ func BenchmarkMapSortParallelism(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Run(e, input); err != nil {
+				if _, err := j.RunContext(b.Context(), e, input); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,8 +4,9 @@ package mapreduce_test
 // of the paper (Basic, BlockSplit, PairRange) × 1..4 map partitions ×
 // 1..8 reduce tasks, the full two-job pipeline must produce Results —
 // match pairs, comparison counts, and every TaskMetrics field including
-// MaxGroupRecords — that are byte-identical between the streaming k-way
-// merge shuffle and the reference concat+stable-sort oracle. BlockSplit
+// MaxGroupRecords — that are byte-identical between the typed engine's
+// streaming k-way merge shuffle and the reference dataflow's
+// concatenate-and-stable-sort. BlockSplit
 // is the critical case: its cross-product reduce function silently
 // miscounts if equal keys ever arrive out of map-task order.
 
@@ -68,28 +69,28 @@ func TestStrategyMatrixShuffleDifferential(t *testing.T) {
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: 2}
-					merge, err := er.Run(parts, cfg)
+					merge, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: merge run: %v", name, err)
 					}
 
-					cfg.Engine = &mapreduce.Engine{Parallelism: 2, Shuffle: mapreduce.ShuffleConcatSort}
-					oracle, err := er.Run(parts, cfg)
+					cfg.Engine = &mapreduce.Engine{Parallelism: 2, Dataflow: mapreduce.DataflowReference}
+					oracle, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 					if err != nil {
 						t.Fatalf("%s: oracle run: %v", name, err)
 					}
 
 					if !reflect.DeepEqual(merge.Matches, oracle.Matches) {
-						t.Errorf("%s: match pairs diverge between shuffle modes", name)
+						t.Errorf("%s: match pairs diverge between typed and reference", name)
 					}
 					if merge.Comparisons != oracle.Comparisons {
 						t.Errorf("%s: comparisons %d (merge) != %d (oracle)", name, merge.Comparisons, oracle.Comparisons)
 					}
 					if !reflect.DeepEqual(merge.BDMResult, oracle.BDMResult) {
-						t.Errorf("%s: BDM job Result (incl. TaskMetrics) diverges between shuffle modes", name)
+						t.Errorf("%s: BDM job Result (incl. TaskMetrics) diverges between typed and reference", name)
 					}
 					if !reflect.DeepEqual(merge.MatchResult, oracle.MatchResult) {
-						t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between shuffle modes", name)
+						t.Errorf("%s: match job Result (incl. TaskMetrics) diverges between typed and reference", name)
 					}
 				}
 			}
@@ -102,7 +103,7 @@ func TestStrategyMatrixShuffleDifferential(t *testing.T) {
 // reduce task, the largest group is exactly the dominant block.
 func TestShuffleMaxGroupRecordsMatchesBlockSizes(t *testing.T) {
 	es := skewedEntities()
-	res, err := er.Run(entity.SplitRoundRobin(es, 3), er.Config{
+	res, err := er.RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), er.Config{
 		Strategy:   core.Basic{},
 		Attr:       "title",
 		BlockKey:   blocking.NormalizedPrefix(3),

@@ -29,7 +29,7 @@ func sortedPairs(ps []mapreduce.Pair[string, int]) []mapreduce.Pair[string, int]
 
 func TestRunStreamMatchesRunContext(t *testing.T) {
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowExternal, mapreduce.DataflowReference,
 	} {
 		for _, par := range []int{1, 4} {
 			e := &mapreduce.Engine{Parallelism: par, Dataflow: dataflow}
@@ -78,7 +78,7 @@ func TestRunStreamMatchesRunContext(t *testing.T) {
 func TestRunStreamSinkErrorFailsRun(t *testing.T) {
 	sinkErr := errors.New("sink full")
 	for _, dataflow := range []mapreduce.DataflowMode{
-		mapreduce.DataflowTyped, mapreduce.DataflowBoxed, mapreduce.DataflowExternal,
+		mapreduce.DataflowTyped, mapreduce.DataflowExternal, mapreduce.DataflowReference,
 	} {
 		e := &mapreduce.Engine{Parallelism: 2, Dataflow: dataflow}
 		if dataflow == mapreduce.DataflowExternal {

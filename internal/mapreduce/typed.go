@@ -43,20 +43,20 @@ type Rec[K, V any] struct {
 	Value V
 }
 
-// Mapper is the typed counterpart of BoxedMapper, instantiated once per
-// map task. Configure receives the task's partition index before any Map
-// call, mirroring Hadoop's Mapper.configure.
+// Mapper is instantiated once per map task. Configure receives the
+// task's partition index before any Map call, mirroring Hadoop's
+// Mapper.configure.
 type Mapper[I, K, V any] interface {
 	Configure(m, r, partitionIndex int)
 	Map(ctx *MapContext[I, K, V], rec I)
 }
 
-// Reducer is the typed counterpart of BoxedReducer, instantiated once
-// per reduce task. Reduce is called once per key group with the group's
-// first key and all values in merged order. The values slice is only
-// valid for the duration of the call: the engine streams groups out of
-// the shuffle merge through a reused buffer. Implementations that need
-// values beyond the call must copy them.
+// Reducer is instantiated once per reduce task. Reduce is called once
+// per key group with the group's first key and all values in merged
+// order. The values slice is only valid for the duration of the call:
+// the engine streams groups out of the shuffle merge through a reused
+// buffer. Implementations that need values beyond the call must copy
+// them.
 type Reducer[K, V, O any] interface {
 	Configure(m, r, taskIndex int)
 	Reduce(ctx *ReduceContext[O], key K, values []Rec[K, V])
@@ -77,7 +77,7 @@ type Job[I, K, V, O any] struct {
 	Name string
 
 	// NumReduceTasks is r. The number of map tasks m always equals the
-	// number of input partitions passed to Run.
+	// number of input partitions passed to RunContext.
 	NumReduceTasks int
 
 	NewMapper  func() Mapper[I, K, V]
@@ -108,12 +108,10 @@ func (j *Job[I, K, V, O]) JobName() string { return j.Name }
 // types (e.g. the five redistribution strategies) can stand behind one
 // interface.
 //
-// RunContext is the primary entry point; Run is the pre-context adapter
-// (kept for one release of compatibility) and RunStream additionally
-// streams reduce output to a callback instead of accumulating it in
+// RunContext is the primary entry point; RunStream additionally streams
+// reduce output to a callback instead of accumulating it in
 // Result.Output — the constant-memory output path.
 type JobRunner[I, O any] interface {
-	Run(e *Engine, input [][]I) (*Result[I, O], error)
 	RunContext(ctx context.Context, e *Engine, input [][]I) (*Result[I, O], error)
 	RunStream(ctx context.Context, e *Engine, input [][]I, out func(O) error) (*Result[I, O], error)
 	JobName() string
@@ -178,9 +176,6 @@ type MapContext[I, K, V any] struct {
 	// regrows.
 	sideCap int
 	encode  func(K) Code
-	// boxed, when non-nil, redirects all emissions and counters through
-	// the boxed oracle context (see oracle.go).
-	boxed *BoxedContext
 	// spill, when non-nil, redirects emissions into the external
 	// dataflow's spiller instead of the in-memory out buffer (see
 	// external.go).
@@ -193,10 +188,6 @@ type MapContext[I, K, V any] struct {
 // Emit appends an intermediate key-value pair to the task's output,
 // computing the key's binary code once if the job has a KeyCoding.
 func (c *MapContext[I, K, V]) Emit(key K, value V) {
-	if c.boxed != nil {
-		c.boxed.Emit(key, value)
-		return
-	}
 	c.hook.fireEmit()
 	var code Code
 	if c.encode != nil {
@@ -216,10 +207,6 @@ func (c *MapContext[I, K, V]) Emit(key K, value V) {
 // of Algorithm 3: blocking-key-annotated entities, written per map task
 // so the second job sees the identical input partitioning.
 func (c *MapContext[I, K, V]) SideEmit(rec I) {
-	if c.boxed != nil {
-		c.boxed.SideEmit(rec, nil)
-		return
-	}
 	if c.side == nil && c.sideCap > 0 {
 		c.side = make([]I, 0, c.sideCap)
 	}
@@ -230,10 +217,6 @@ func (c *MapContext[I, K, V]) SideEmit(rec I) {
 // Inc adds delta to the named user counter for this task.
 // ComparisonsCounter takes an allocation-free fast path.
 func (c *MapContext[I, K, V]) Inc(name string, delta int64) {
-	if c.boxed != nil {
-		c.boxed.Inc(name, delta)
-		return
-	}
 	incCounter(c.metrics, name, delta)
 }
 
@@ -242,7 +225,6 @@ func (c *MapContext[I, K, V]) Inc(name string, delta int64) {
 type ReduceContext[O any] struct {
 	metrics *TaskMetrics
 	out     []O
-	boxed   *BoxedContext
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
@@ -253,10 +235,6 @@ type ReduceContext[O any] struct {
 // attempt commits — never earlier, so a failed, retried, or superseded
 // attempt cannot double-emit (the task-commit protocol).
 func (c *ReduceContext[O]) Emit(rec O) {
-	if c.boxed != nil {
-		c.boxed.Emit(rec, nil)
-		return
-	}
 	c.hook.fireEmit()
 	c.out = append(c.out, rec)
 	c.metrics.OutputRecords++
@@ -264,14 +242,10 @@ func (c *ReduceContext[O]) Emit(rec O) {
 
 // Inc adds delta to the named user counter for this task.
 func (c *ReduceContext[O]) Inc(name string, delta int64) {
-	if c.boxed != nil {
-		c.boxed.Inc(name, delta)
-		return
-	}
 	incCounter(c.metrics, name, delta)
 }
 
-// incCounter is the shared counter-update path (mirrors BoxedContext.Inc).
+// incCounter is the counter-update path shared by both contexts.
 func incCounter(metrics *TaskMetrics, name string, delta int64) {
 	if name == ComparisonsCounter {
 		metrics.Comparisons += delta
@@ -344,21 +318,11 @@ func (j *Job[I, K, V, O]) validate(numPartitions int) error {
 	return nil
 }
 
-// Run executes the job over the given input partitions and returns the
-// result — the pre-context adapter over RunContext, kept for one release
-// of compatibility.
-func (j *Job[I, K, V, O]) Run(e *Engine, input [][]I) (*Result[I, O], error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return j.RunContext(context.Background(), e, input)
-}
-
 // RunContext executes the job over the given input partitions and
 // returns the result. Execution is deterministic and byte-identical
-// across the typed/boxed × k-way/concat-sort engine variants: map
-// outputs are shuffled with a stable, map-task-ordered merge and sorted
-// with the job's Compare (accelerated by the key code when present).
-// When e.Dataflow is DataflowBoxed, the job runs on the boxed oracle
-// engine through the boxing adapter in oracle.go instead.
+// across the dataflows (e.Dataflow, e.Remote): map outputs are shuffled
+// with a stable, map-task-ordered merge and sorted with the job's
+// Compare (accelerated by the key code when present).
 //
 // Cancellation is checked between tasks (once ctx is done, no further
 // task or attempt starts) and periodically between records inside
@@ -401,8 +365,8 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 		return j.runRemote(ctx, e, input, sink)
 	}
 	switch e.Dataflow {
-	case DataflowBoxed:
-		return j.runBoxed(ctx, e, input, sink)
+	case DataflowReference:
+		return j.runReference(ctx, input, sink)
 	case DataflowExternal:
 		return j.runExternal(ctx, e, input, sink)
 	}
@@ -447,7 +411,7 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 	// Output is buffered per attempt and drained to the sink (or the
 	// collected Output) only at commit — the task-commit protocol.
 	reduceOut := make([][]O, r)
-	st.redPhase = typedReducePhase[I, K, V, O]{st: st, e: e, m: m, res: res, mapOut: mapOut, sink: sink, reduceOut: reduceOut}
+	st.redPhase = typedReducePhase[I, K, V, O]{st: st, m: m, res: res, mapOut: mapOut, sink: sink, reduceOut: reduceOut}
 	st.redSup.init(e, ReduceTask, jobID, &st.redPhase)
 	rstats, rerr := st.redSup.supervise(ctx, r)
 	res.addStats(rstats)
@@ -528,7 +492,6 @@ func (p *typedMapPhase[I, K, V, O]) discardOut(out typedMapOut[I, K, V]) {
 // commit — the task-commit protocol.
 type typedReducePhase[I, K, V, O any] struct {
 	st        *runState[I, K, V, O]
-	e         *Engine
 	m         int
 	res       *Result[I, O]
 	mapOut    [][][]Rec[K, V]
@@ -537,7 +500,7 @@ type typedReducePhase[I, K, V, O any] struct {
 }
 
 func (p *typedReducePhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
-	return p.st.runReduceAttempt(actx, hook, p.e, task, attempt, p.m, p.mapOut)
+	return p.st.runReduceAttempt(actx, hook, task, attempt, p.m, p.mapOut)
 }
 
 func (p *typedReducePhase[I, K, V, O]) commitTask(task int, out typedReduceOut[O]) error {
@@ -574,7 +537,7 @@ type runState[I, K, V, O any] struct {
 	cmp func(a, b *Rec[K, V]) int
 	// limiter bounds the extra goroutines all of this run's sorts may
 	// spawn (nil = serial). Sized from Engine.Parallelism by run /
-	// runExternal; other paths (boxed, remote) never sort Recs.
+	// runExternal; the remote path never sorts Recs.
 	limiter *sortLimiter
 
 	// obs/jobID carry the run's observability identity into the attempt
@@ -755,7 +718,7 @@ func (st *runState[I, K, V, O]) combine(idx, m int, out []Rec[K, V], metrics *Ta
 	return cctx.out, nil
 }
 
-func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *taskHook, e *Engine, idx, attempt, m int, mapOut [][][]Rec[K, V]) (rout typedReduceOut[O], err error) {
+func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, mapOut [][][]Rec[K, V]) (rout typedReduceOut[O], err error) {
 	defer recoverAttempt(&err)
 	if err := hook.fire(FaultTaskStart); err != nil {
 		return rout, err
@@ -765,21 +728,6 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 	ctx := &ReduceContext[O]{metrics: metrics, out: getOutBuf[O](st.outPool), hook: hook}
 	reducer := j.NewReducer()
 	reducer.Configure(m, j.NumReduceTasks, idx)
-
-	if e.Shuffle == ShuffleConcatSort {
-		// Reference path: concatenate the buckets in map-task order and
-		// stable-sort the whole input (the pre-sorted buckets make this
-		// redundant work — that is the point of the oracle).
-		var input []Rec[K, V]
-		for mi := 0; mi < m; mi++ {
-			input = append(input, mapOut[mi][idx]...)
-		}
-		st.sortRecsStable(input)
-		metrics.InputRecords = int64(len(input))
-		st.reduceSortedRun(ctx, reducer, input)
-		rout.out = ctx.out
-		return rout, nil
-	}
 
 	// Streaming k-way merge of the pre-sorted spill buckets. Equal keys
 	// are popped in map-task order (heap ties break on bucket index),

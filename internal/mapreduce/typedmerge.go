@@ -1,7 +1,6 @@
 package mapreduce
 
-// recMerger is the typed counterpart of kvMerger (merge.go): it streams
-// the k-way merge of pre-sorted spill buckets that forms a reduce task's
+// recMerger streams the k-way merge of pre-sorted spill buckets that forms a reduce task's
 // input. It is a binary min-heap of run indexes keyed by (cmpRec(head),
 // run index); the run-index tie-break pops equal keys in map-task order,
 // which makes the merged stream identical to concatenating the runs in

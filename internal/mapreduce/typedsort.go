@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// Typed counterpart of sort.go: a dedicated stable merge sort over
-// []Rec[K, V] that calls the run's record comparator directly (binary
-// key codes first, the job comparator only on code ties), plus the
-// sync.Pool-backed scratch buffers the typed task hot paths reuse.
+// A dedicated stable merge sort over []Rec[K, V] that calls the run's
+// record comparator directly (binary key codes first, the job
+// comparator only on code ties), plus the sync.Pool-backed scratch
+// buffers the typed task hot paths reuse.
 // Generic pools cannot be package-level globals, so each run owns a
 // recPools instance shared by its tasks (see runState).
 
@@ -62,8 +62,8 @@ func (st *runState[I, K, V, O]) sortBuckets(buckets [][]Rec[K, V]) {
 // ---- pooled typed scratch buffers ----
 
 // recPools holds the reusable record and run-list buffers of one
-// (K, V) instantiation. The capacity bound, clearing discipline, and
-// box recycling mirror the boxed pools in sort.go (slicePool).
+// (K, V) instantiation, built on slicePool (sort.go) with its capacity
+// bound and clearing discipline.
 type recPools[K, V any] struct {
 	recBuf  slicePool[Rec[K, V]]
 	runsBuf slicePool[[]Rec[K, V]]
@@ -71,9 +71,8 @@ type recPools[K, V any] struct {
 
 // recPoolRegistry maps a Rec[K, V] type to its process-wide *recPools:
 // generic package-level variables do not exist in Go, so this registry
-// is how typed scratch buffers survive across runs and jobs the way the
-// boxed engine's global pools do. Looked up once per Run, never on a
-// per-record path.
+// is how typed scratch buffers survive across runs and jobs. Looked up
+// once per Run, never on a per-record path.
 var recPoolRegistry sync.Map // reflect.Type -> *recPools[K, V]
 
 func poolFor[K, V any]() *recPools[K, V] {

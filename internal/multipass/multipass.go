@@ -73,7 +73,7 @@ func Keys(e entity.Entity, passes []Pass) []string {
 // AttrKey (its block for this replica) and AttrAllKeys (the full key
 // set, needed by the least-common-key rule). Entities with no key in
 // any pass are dropped — callers that must match them against everything
-// should use er.RunWithMissingKeys-style decomposition instead.
+// should use er.RunWithMissingKeysPipeline-style decomposition instead.
 func Expand(parts entity.Partitions, passes []Pass) entity.Partitions {
 	out := make(entity.Partitions, len(parts))
 	for pi, part := range parts {
@@ -188,13 +188,6 @@ type Config struct {
 	R               int
 	// Engine and UseCombiner are forwarded to the underlying pipeline.
 	ErConfig er.Config
-}
-
-// Run executes the full load-balanced multi-pass workflow — the
-// pre-context adapter over RunPipeline.
-func Run(parts entity.Partitions, cfg Config) (*er.Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
 }
 
 // RunPipeline executes the full load-balanced multi-pass workflow over

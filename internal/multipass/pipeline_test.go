@@ -37,27 +37,9 @@ func pipelineFixture() (entity.Partitions, Config) {
 	return entity.SplitRoundRobin(es, 3), cfg
 }
 
-func TestMultipassAdapterMatchesPipeline(t *testing.T) {
-	parts, cfg := pipelineFixture()
-	legacy, err := Run(parts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Matches) == 0 {
-		t.Fatal("fixture produced no matches")
-	}
-	pipeline, err := RunPipeline(context.Background(), er.FromPartitions(parts), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, pipeline) {
-		t.Fatal("legacy multipass adapter result differs from pipeline")
-	}
-}
-
 func TestMultipassSinkSeesEachMatchOnce(t *testing.T) {
 	parts, cfg := pipelineFixture()
-	collected, err := Run(parts, cfg)
+	collected, err := RunPipeline(t.Context(), er.FromPartitions(parts), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

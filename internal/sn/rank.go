@@ -117,13 +117,6 @@ func (d *rankDistribution) rangeOfRank(rank int64) int {
 	return int(rank / d.perRange)
 }
 
-// RunRanked executes sorted neighborhood with rank partitioning — the
-// pre-context adapter over RunRankedPipeline.
-func RunRanked(parts entity.Partitions, cfg Config) (*Result, error) {
-	//erlint:ignore ctxflow pre-context compatibility adapter: callers without a context start at a fresh root here
-	return RunRankedPipeline(context.Background(), er.FromPartitions(parts), cfg)
-}
-
 // RunRankedPipeline executes sorted neighborhood with rank partitioning
 // over the source's partitions. The canonical total order is (sorting
 // key, partition index, arrival index); SerialRanked is the matching
@@ -181,7 +174,7 @@ func (m *rankMapper) Map(ctx *mapreduce.MapContext[entity.Entity, rankKey, entit
 	ctx.Emit(rankKey{Range: m.dist.rangeOfRank(rank), Rank: rank}, e)
 }
 
-// SerialRanked is the reference for RunRanked: entities ordered by
+// SerialRanked is the reference for RunRankedPipeline: entities ordered by
 // (key, partition index, arrival index), windowed comparison.
 func SerialRanked(parts entity.Partitions, attr string, key KeyFunc, window int, match core.Matcher) ([]core.MatchPair, int64) {
 	type keyed struct {

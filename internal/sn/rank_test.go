@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 // TestRunRankedMatchesSerialFuzz: rank-partitioned SN equals the
@@ -29,7 +30,7 @@ func TestRunRankedMatchesSerialFuzz(t *testing.T) {
 
 		var mu sync.Mutex
 		got := make(map[core.MatchPair]int)
-		res, err := RunRanked(parts, Config{
+		res, err := RunRankedPipeline(t.Context(), er.FromPartitions(parts), Config{
 			Attr: "k", Key: identityKey, Window: w, R: r,
 			Matcher: alwaysMatch(&got, &mu),
 		})
@@ -75,11 +76,11 @@ func TestRankedBalancesSkewedKeys(t *testing.T) {
 		return core.ComputeLoadStats(loads)
 	}
 
-	keyed, err := Run(parts, Config{Attr: "k", Key: identityKey, Window: w, R: r})
+	keyed, err := RunPipeline(t.Context(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: w, R: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := RunRanked(parts, Config{Attr: "k", Key: identityKey, Window: w, R: r})
+	ranked, err := RunRankedPipeline(t.Context(), er.FromPartitions(parts), Config{Attr: "k", Key: identityKey, Window: w, R: r})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRankedBalancesSkewedKeys(t *testing.T) {
 }
 
 func TestRankedSingleEntityAndValidation(t *testing.T) {
-	res, err := RunRanked(entity.Partitions{{mk("only", "x")}}, Config{
+	res, err := RunRankedPipeline(t.Context(), er.FromPartitions(entity.Partitions{{mk("only", "x")}}), Config{
 		Attr: "k", Key: identityKey, Window: 3, R: 4,
 	})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestRankedSingleEntityAndValidation(t *testing.T) {
 	if res.Comparisons != 0 || len(res.Matches) != 0 {
 		t.Errorf("single entity: comparisons=%d matches=%d", res.Comparisons, len(res.Matches))
 	}
-	if _, err := RunRanked(entity.Partitions{{mk("a", "x")}}, Config{Attr: "k", Window: 3, R: 2}); err == nil {
+	if _, err := RunRankedPipeline(t.Context(), er.FromPartitions(entity.Partitions{{mk("a", "x")}}), Config{Attr: "k", Window: 3, R: 2}); err == nil {
 		t.Error("nil Key: want error")
 	}
 }
