@@ -459,7 +459,7 @@ func (sv *taskSupervisor[T]) runOne(ctx context.Context, task int) {
 }
 
 // funcTaskOps adapts free functions to taskOps for the call sites that
-// build their phases from closures (the external and remote paths).
+// build their phases from closures (the remote path).
 type funcTaskOps[T any] struct {
 	run     func(ctx context.Context, hook *taskHook, task, attempt int) (T, error)
 	commit  func(task int, out T) error
@@ -473,7 +473,7 @@ func (o *funcTaskOps[T]) commitTask(task int, out T) error { return o.commit(tas
 func (o *funcTaskOps[T]) discardOut(out T)                 { o.discard(out) }
 
 // superviseTasks is the closure-based entry point over
-// taskSupervisor.supervise, used by the external and remote paths.
+// taskSupervisor.supervise, used by the remote path.
 func superviseTasks[T any](
 	ctx context.Context,
 	e *Engine,

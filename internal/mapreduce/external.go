@@ -1,386 +1,169 @@
 package mapreduce
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/obs"
 	"repro/internal/runio"
 )
 
-// This file implements DataflowExternal, the out-of-core realization of
-// the typed engine: the Hadoop dataflow where map output beyond a
-// per-task byte budget spills to sorted on-disk runs and reducers
-// stream an external k-way merge over run segments.
+// This file holds what DataflowExternal adds to the one dataflow of
+// typed.go: a per-map-task byte budget beyond which map output spills
+// to sorted on-disk runs, and the streamed merge sources that read the
+// runs back. DataflowTyped is the same dataflow with no budget — its
+// map output never leaves memory and it never creates a file — so the
+// two share one driver, one map attempt and one reduce attempt, and
+// their results are byte-identical by construction (the differential
+// tests assert it, TaskMetrics included, spill counters excepted). The
+// moving pieces:
 //
-// The execution model is unchanged — same partition/compare/group
-// semantics, same stability guarantee — only the residency of the
-// intermediate records differs, so results are byte-identical to
-// DataflowTyped (the differential tests assert it, TaskMetrics
-// included, spill counters excepted). The moving pieces:
-//
-//   - extSpiller accumulates map output twice: decoded (for the spill
-//     sort and the in-memory tail) and encoded (runio codecs, applied
-//     once per record at emit time, which also gives exact byte-
-//     denominated budget accounting). When the encoded bytes reach the
-//     budget, the batch is stable-sorted by (reduce partition, key) —
-//     the record's binary key code first, exactly like the in-memory
-//     engine — and written as one run file (runio.Writer).
+//   - The spiller is a map task's output buffer. With a budget it also
+//     keeps each record encoded (runio codecs, applied once per record
+//     at emit time, which gives exact byte-denominated budget
+//     accounting). When the encoded bytes reach the budget, the batch
+//     is stable-sorted by (reduce partition, key) — the record's binary
+//     key code first, exactly like the in-memory bucket sort — and
+//     written as one run (runio.Writer). The remote executor writes a
+//     whole unspilled task output as one run with the same writer.
 //   - The stability tiebreak extends from (key, mapTask) to (key,
 //     mapTask, run): runs are temporal segments of one task's output,
 //     so merging them in run order with the in-memory tail last
 //     reproduces the task's emission order for equal keys, and the
 //     merged stream is identical to the all-in-memory sort.
-//   - With a combiner, the task's spilled runs and tail are first
-//     k-way merged back (map-side), combined group-by-group exactly
-//     like the in-memory combine, and the combiner's output flows
-//     through a second-generation spiller. This keeps combiner group
-//     boundaries — and therefore every metric — identical to the
-//     typed engine, unlike Hadoop's per-spill combining.
+//   - With a combiner, a task that spilled first merges its runs and
+//     tail back (map-side), combines group-by-group exactly like the
+//     in-memory combine, and the combiner's output flows through a
+//     second-generation spiller. This keeps combiner group boundaries —
+//     and therefore every metric — identical to DataflowTyped, unlike
+//     Hadoop's per-spill combining.
 //   - Reduce task j merges, per map task, the partition-j segment of
-//     every run plus the in-memory tail bucket, all behind the same
-//     merge-heap discipline as the in-memory path.
+//     every run plus the in-memory tail bucket, behind the one merger
+//     of typedmerge.go.
 //
-// Temp-file lifecycle: Run creates one directory under Engine.TmpDir
-// and removes it on every exit path, success or error. Each map
-// *attempt* writes its runs into an attempt-scoped subdirectory
-// (m0007-a001/); the supervisor's commit step atomically adopts the
-// directory by renaming it to the task's final name (m0007/), and a
-// failed or superseded attempt's directory is reaped instead — so
-// concurrent attempts of one task never collide and a retried task
-// never leaves stale runs behind. First-generation runs are
-// additionally deleted as soon as the map-side combine has drained
-// them.
+// Temp-file lifecycle: a run on the external dataflow creates one
+// directory under Engine.TmpDir and removes it on every exit path,
+// success or error. Each map *attempt* writes its runs into an
+// attempt-scoped subdirectory (m0007-a001/); the supervisor's commit
+// step atomically adopts the directory by renaming it to the task's
+// final name (m0007/), and a failed or superseded attempt's directory
+// is reaped instead — so concurrent attempts of one task never collide
+// and a retried task never leaves stale runs behind. First-generation
+// runs are additionally deleted as soon as the map-side combine has
+// drained them.
 
 // DefaultSpillBudget is the per-map-task encoded-byte budget when
 // Engine.SpillBudget is zero.
 const DefaultSpillBudget = 64 << 20
 
-// extConfig carries the run-wide external-dataflow parameters.
-type extConfig[K, V any] struct {
+// flowConfig carries the run-wide dataflow parameters the spillers,
+// decoders and merges of one run share. It is embedded in runState, so
+// it costs the run no allocation of its own.
+type flowConfig[K, V any] struct {
+	r       int
+	part    func(K, int) int
+	cmp     func(a, b *Rec[K, V]) int
+	pools   *recPools[K, V]
+	limiter *sortLimiter // bounds the run's sort workers (nil = serial)
+
+	// budget is the per-task encoded-byte spill budget; 0 means map
+	// output never spills (DataflowTyped, and the remote executor).
+	budget int64
+	// dir is the run's spill directory ("" when budget is 0).
+	dir string
+	// kc/vc/codeWidth encode and decode records on disk (nil codecs on
+	// DataflowTyped, which never encodes).
 	kc        runio.Codec[K]
 	vc        runio.Codec[V]
-	dir       string
-	budget    int64
 	codeWidth int
 	// shared is true when both codecs implement runio.SharedDecoder, so
 	// merge sources read through the arena path (block strings, aliasing
 	// decoders, zero copies per record) instead of the byte path.
 	shared bool
-	// obs/jobID thread the run's observability identity to the spillers
-	// and merge paths (spill spans, spill-byte counters). nil when off.
+
+	// obs/jobID carry the run's observability identity into spill and
+	// merge spans and the spill-byte counters. nil/0 when observability
+	// is off — including always on the worker side of remote execution,
+	// where tracing happens at the dist layer instead.
 	obs   *obs.Observer
 	jobID uint32
 }
 
-// runExternal executes the job on the external dataflow (the job is
-// already validated by Job.run, which dispatches here). See
-// Job.RunContext for the semantics; this path additionally requires
-// runio codecs registered for K and V. The deferred RemoveAll makes the
-// spill directory die on every exit path — cancellation included.
-func (j *Job[I, K, V, O]) runExternal(ctx context.Context, e *Engine, input [][]I, sink *outputSink[O]) (*Result[I, O], error) {
-	m := len(input)
+// setCodecs looks up the runio codecs of K and V. what names the
+// dataflow in the error.
+func (c *flowConfig[K, V]) setCodecs(what string) error {
 	kc, ok := runio.Lookup[K]()
 	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: external dataflow: no runio codec registered for key type %T (runio.Register it in the key's package)", j.Name, *new(K))
+		return fmt.Errorf("%s: no runio codec registered for key type %T (runio.Register it in the key's package)", what, *new(K))
 	}
 	vc, ok := runio.Lookup[V]()
 	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: external dataflow: no runio codec registered for value type %T (runio.Register it in the value's package)", j.Name, *new(V))
+		return fmt.Errorf("%s: no runio codec registered for value type %T (runio.Register it in the value's package)", what, *new(V))
+	}
+	c.kc, c.vc = kc, vc
+	return nil
+}
+
+// initSpill turns the run into an external one: the spill budget, the
+// codecs, and a fresh spill directory under e.TmpDir, which the caller
+// removes when the run returns.
+func (c *flowConfig[K, V]) initSpill(e *Engine) error {
+	if err := c.setCodecs("external dataflow"); err != nil {
+		return err
+	}
+	_, kshared := c.kc.(runio.SharedDecoder[K])
+	_, vshared := c.vc.(runio.SharedDecoder[V])
+	c.shared = kshared && vshared
+	c.budget = e.SpillBudget
+	if c.budget <= 0 {
+		c.budget = DefaultSpillBudget
 	}
 	if e.TmpDir != "" {
 		if err := os.MkdirAll(e.TmpDir, 0o755); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: create tmp dir: %w", j.Name, err)
+			return fmt.Errorf("create tmp dir: %w", err)
 		}
 	}
 	dir, err := os.MkdirTemp(e.TmpDir, "mr-spill-*")
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: create spill dir: %w", j.Name, err)
+		return fmt.Errorf("create spill dir: %w", err)
 	}
-	// The spill directory dies with this Run on every exit path.
-	defer os.RemoveAll(dir)
-
-	st := newRunState(j)
-	st.limiter = newSortLimiter(e.Parallelism)
-	jobID := e.beginJob(j.Name)
-	defer e.endJob(jobID)
-	st.obs, st.jobID = e.Obs, jobID
-	cfg := &extConfig[K, V]{kc: kc, vc: vc, dir: dir, budget: e.SpillBudget, obs: e.Obs, jobID: jobID}
-	if cfg.budget <= 0 {
-		cfg.budget = DefaultSpillBudget
-	}
-	_, kshared := kc.(runio.SharedDecoder[K])
-	_, vshared := vc.(runio.SharedDecoder[V])
-	cfg.shared = kshared && vshared
-	if st.encode != nil {
-		cfg.codeWidth = 16
-	}
-
-	r := j.NumReduceTasks
-	res := &Result[I, O]{
-		Metrics: Metrics{
-			JobName:       j.Name,
-			MapMetrics:    make([]TaskMetrics, m),
-			ReduceMetrics: make([]TaskMetrics, r),
-		},
-		SideOutput: make([][]I, m),
-	}
-
-	// ---- Map phase (spilling) ----
-	mapOut := make([]extMapOutput[I, K, V], m)
-	mstats, merr := superviseTasks(ctx, e, MapTask, jobID, m,
-		func(actx context.Context, hook *taskHook, task, attempt int) (extMapOutput[I, K, V], error) {
-			return st.runMapAttemptExternal(actx, hook, cfg, task, attempt, m, input[task])
-		},
-		func(task int, out extMapOutput[I, K, V]) error {
-			// Adopt the attempt's spill directory under the task's final
-			// name; the rename is the commit point for the on-disk runs.
-			// The spill file's open fd survives the rename — the reduce
-			// phase reads through it, so the file is never reopened.
-			if len(out.runs) == 0 {
-				out.closeFile()
-				if out.dir != "" {
-					os.RemoveAll(out.dir)
-				}
-			} else {
-				final := filepath.Join(cfg.dir, fmt.Sprintf("m%04d", task))
-				if err := os.Rename(out.dir, final); err != nil {
-					out.closeFile()
-					return fmt.Errorf("adopt spill dir: %w", err)
-				}
-				for _, info := range out.runs {
-					info.Path = filepath.Join(final, filepath.Base(info.Path))
-				}
-			}
-			out.metrics.Kind = MapTask
-			out.metrics.Index = task
-			res.MapMetrics[task] = out.metrics
-			res.SideOutput[task] = out.side
-			mapOut[task] = out
-			return nil
-		},
-		func(out extMapOutput[I, K, V]) {
-			out.closeFile()
-			if out.dir != "" {
-				os.RemoveAll(out.dir)
-			}
-			st.pools.putRecBuf(out.flat)
-		},
-	)
-	res.addStats(mstats)
-	// Committed map tasks hand over their spill file's open fd; close
-	// them all on every exit path from here on (the reduce phase reads
-	// through these fds via pread — runs are never reopened).
-	defer func() {
-		for i := range mapOut {
-			mapOut[i].closeFile()
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
-	}
-	if merr != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, merr)
-	}
-	for i := range res.MapMetrics {
-		res.MapOutputRecords += res.MapMetrics[i].OutputRecords
-	}
-
-	// ---- Shuffle + external merge + reduce phase ----
-	reduceOut := make([][]O, r)
-	rstats, rerr := superviseTasks(ctx, e, ReduceTask, jobID, r,
-		func(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
-			return st.runReduceAttemptExternal(actx, hook, cfg, task, attempt, mapOut)
-		},
-		func(task int, out typedReduceOut[O]) error {
-			out.metrics.Kind = ReduceTask
-			out.metrics.Index = task
-			res.ReduceMetrics[task] = out.metrics
-			if sink != nil {
-				sink.writeAll(out.out)
-				putOutBuf(st.outPool, out.out)
-				return nil
-			}
-			reduceOut[task] = out.out
-			return nil
-		},
-		func(out typedReduceOut[O]) { putOutBuf(st.outPool, out.out) },
-	)
-	res.addStats(rstats)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
-	}
-	if rerr != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, rerr)
-	}
-	if sink != nil {
-		if err := sink.Err(); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: output sink: %w", j.Name, err)
-		}
-	}
-	var total int
-	for jj := range reduceOut {
-		total += len(reduceOut[jj])
-	}
-	res.Output = make([]O, 0, total)
-	for jj := range reduceOut {
-		res.Output = append(res.Output, reduceOut[jj]...)
-		putOutBuf(st.outPool, reduceOut[jj])
-	}
-	for i := range mapOut {
-		st.pools.putRecBuf(mapOut[i].flat)
-	}
-	return res, nil
+	c.dir = dir
+	return nil
 }
 
-// extMapOutput is one map attempt's shuffle-ready output on the
-// external dataflow: zero or more sorted on-disk runs in the attempt's
-// spill directory plus the in-memory tail, already bucketed and sorted
-// like a typed-engine task's output. The supervisor's commit step
-// renames dir to the task's final name (updating the run paths) or
-// reaps it when the attempt is discarded.
-type extMapOutput[I, K, V any] struct {
-	runs    []*runio.Info
-	file    *os.File // the open spill file holding every run in runs
-	buckets [][]Rec[K, V]
-	flat    []Rec[K, V]
-	side    []I
-	dir     string
-	metrics TaskMetrics
-}
-
-func (out *extMapOutput[I, K, V]) closeFile() {
-	if out.file != nil {
-		out.file.Close()
-		out.file = nil
+// appendRec appends the on-disk encoding of rec (code ‖ key ‖ value).
+func (c *flowConfig[K, V]) appendRec(dst []byte, rec *Rec[K, V]) []byte {
+	if c.codeWidth != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Hi)
+		dst = binary.LittleEndian.AppendUint64(dst, rec.code.Lo)
 	}
-}
-
-func (st *runState[I, K, V, O]) runMapAttemptExternal(actx context.Context, hook *taskHook, cfg *extConfig[K, V], idx, attempt, m int, input []I) (out extMapOutput[I, K, V], err error) {
-	// Declared before recoverAttempt so it runs after it (LIFO): by the
-	// time the attempt's spill directory is reaped, a recovered panic
-	// has already been translated into err. Spill-file fds opened by the
-	// attempt's spillers are closed on the same path.
-	var spillers []*extSpiller[K, V]
-	defer func() {
-		if err != nil {
-			for _, s := range spillers {
-				s.closeFile()
-			}
-			if out.dir != "" {
-				os.RemoveAll(out.dir)
-				out.dir = ""
-			}
-		}
-	}()
-	defer recoverAttempt(&err)
-	if err := hook.fire(FaultTaskStart); err != nil {
-		return out, err
-	}
-	out.dir = filepath.Join(cfg.dir, fmt.Sprintf("m%04d-a%03d", idx, attempt))
-	if err := os.MkdirAll(out.dir, 0o755); err != nil {
-		return out, err
-	}
-	j := st.job
-	r := j.NumReduceTasks
-	metrics := &out.metrics
-	sp := st.newSpiller(cfg, out.dir, "g0", idx, attempt, metrics, hook)
-	spillers = append(spillers, sp)
-	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp, sideCap: len(input), hook: hook}
-	mapper := j.NewMapper()
-	mapper.Configure(m, r, idx)
-	check := actx.Done() != nil
-	for i := range input {
-		if check && i&cancelCheckMask == 0 && actx.Err() != nil {
-			return out, actx.Err()
-		}
-		metrics.InputRecords++
-		mapper.Map(ctx, input[i])
-	}
-	if sp.err != nil {
-		return out, sp.err
-	}
-	out.side = ctx.side
-
-	if j.NewCombiner == nil {
-		out.runs = sp.runs
-		out.file = sp.f // ownership moves to the output (commit/discard)
-		out.buckets, out.flat, err = st.partitionAndSort(sp.takeRecs())
-		return out, err
-	}
-
-	if len(sp.runs) == 0 {
-		// Nothing spilled: the whole task fits in budget, so the
-		// combine is the typed engine's, verbatim.
-		combined, cerr := st.combine(idx, m, sp.recs, metrics, hook)
-		st.pools.putRecBuf(sp.takeRecs())
-		if cerr != nil {
-			return out, cerr
-		}
-		metrics.OutputRecords = int64(len(combined))
-		out.buckets, out.flat, err = st.partitionAndSort(combined)
-		return out, err
-	}
-
-	// Map-side external merge + combine: stream the spilled runs and
-	// the sorted tail back in (partition, key, run) order, cut the
-	// stream into the same groups the in-memory combine would form
-	// (a group never spans partitions — grouping must be compatible
-	// with partitioning, as in Hadoop), and feed the combiner, whose
-	// output flows through a second-generation spiller.
-	sp2 := st.newSpiller(cfg, out.dir, "g1", idx, attempt, metrics, hook)
-	spillers = append(spillers, sp2)
-	cctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, spill: sp2, hook: hook}
-	combiner := j.NewCombiner()
-	combiner.Configure(m, r, idx)
-	if err := st.mergeSpilled(cfg, sp, metrics, hook, func(group []Rec[K, V]) {
-		combiner.Combine(cctx, group[0].Key, group)
-	}); err != nil {
-		return out, err
-	}
-	if sp2.err != nil {
-		return out, sp2.err
-	}
-	// The combiner rewrote the task's output; fix the metric (the
-	// typed engine does the same after its in-memory combine).
-	metrics.OutputRecords = sp2.count
-	out.runs = sp2.runs
-	out.file = sp2.f // ownership moves to the output (commit/discard)
-	out.buckets, out.flat, err = st.partitionAndSort(sp2.takeRecs())
-	return out, err
+	dst = c.kc.Append(dst, rec.Key)
+	return c.vc.Append(dst, rec.Value)
 }
 
 // mergeSpilled merges one map task's spilled runs and in-memory tail
 // back into (partition, key, run)-ordered groups and hands each group
-// to emit. The first-generation run files are deleted once drained.
-func (st *runState[I, K, V, O]) mergeSpilled(cfg *extConfig[K, V], sp *extSpiller[K, V], metrics *TaskMetrics, hook *taskHook, emit func(group []Rec[K, V])) error {
-	if err := hook.fire(FaultMerge); err != nil {
+// to emit. The first-generation spill file is deleted once drained.
+func (st *runState[I, K, V, O]) mergeSpilled(sp *spiller[K, V], emit func(group []Rec[K, V])) error {
+	if err := sp.hook.fire(FaultMerge); err != nil {
 		return err
 	}
-	if cfg.obs != nil {
+	if st.obs != nil {
 		st.recordMerge(obs.EvBegin, obs.PhaseMap, sp.task, sp.attempt, int64(len(sp.runs)))
 		defer st.recordMerge(obs.EvEnd, obs.PhaseMap, sp.task, sp.attempt, int64(len(sp.runs)))
 	}
-	dec := newRecDecoder(cfg)
-	sources := make([]mergeSource[K, V], 0, len(sp.runs)+1)
-	var spillRead *obs.Counter // nil-safe handle when observability is off
-	if cfg.obs != nil {
-		spillRead = cfg.obs.Engine.SpillBytesRead
-	}
+	mg := newMerger(st)
+	defer mg.release()
+	// The spiller's fd is still open; runs are read back through it via
+	// pread — no reopen.
 	for _, info := range sp.runs {
-		// The spiller's fd is still open; runs are read back through it
-		// via pread — no reopen.
-		if cfg.shared {
-			sources = append(sources, &sharedRunSource[K, V]{f: sp.f, info: info, dec: dec})
-		} else {
-			sources = append(sources, &runSource[K, V]{f: sp.f, info: info, dec: dec})
-		}
-		metrics.SpillBytesRead += info.Bytes
-		spillRead.Add(info.Bytes)
+		mg.addSpilledRun(sp.f, info)
+	}
+	sp.metrics.SpillBytesRead += mg.spillBytes
+	if st.obs != nil {
+		st.obs.Engine.SpillBytesRead.Add(mg.spillBytes)
 	}
 	parts, perm, err := sp.sortedPerm()
 	if err != nil {
@@ -389,11 +172,9 @@ func (st *runState[I, K, V, O]) mergeSpilled(cfg *extConfig[K, V], sp *extSpille
 	defer putInt32Buf(parts)
 	defer putInt32Buf(perm)
 	if len(sp.recs) > 0 {
-		sources = append(sources, &tailSource[K, V]{recs: sp.recs, parts: parts, perm: perm})
+		mg.addSource(&tailSource[K, V]{recs: sp.recs, parts: parts, perm: perm})
 	}
-
-	mg, err := newExtMerger(st, sources)
-	if err != nil {
+	if err := mg.start(); err != nil {
 		return err
 	}
 	group := st.pools.getRecBuf()
@@ -420,124 +201,35 @@ func (st *runState[I, K, V, O]) mergeSpilled(cfg *extConfig[K, V], sp *extSpille
 	st.pools.putRecBuf(sp.takeRecs())
 	// Generation-0 runs are dead; free the disk before gen-1 grows.
 	sp.closeFile()
-	if sp.path != "" {
-		os.Remove(sp.path)
-	}
+	os.Remove(sp.path)
 	return nil
-}
-
-func (st *runState[I, K, V, O]) runReduceAttemptExternal(actx context.Context, hook *taskHook, cfg *extConfig[K, V], idx, attempt int, mapOut []extMapOutput[I, K, V]) (rout typedReduceOut[O], err error) {
-	defer recoverAttempt(&err)
-	if err := hook.fire(FaultTaskStart); err != nil {
-		return rout, err
-	}
-	j := st.job
-	metrics := &rout.metrics
-	ctx := &ReduceContext[O]{metrics: metrics, out: getOutBuf[O](st.outPool), hook: hook}
-	reducer := j.NewReducer()
-	reducer.Configure(len(mapOut), j.NumReduceTasks, idx)
-
-	// One source per (map task, run) segment plus one per in-memory
-	// tail bucket, in (map task, run, tail) order: the source index is
-	// the merge tiebreak, which extends the typed engine's map-task
-	// tiebreak with temporal run order — the stability guarantee.
-	dec := newRecDecoder(cfg)
-	var sources []mergeSource[K, V]
-	var total int64
-	var spillRead *obs.Counter // nil-safe handle when observability is off
-	if cfg.obs != nil {
-		spillRead = cfg.obs.Engine.SpillBytesRead
-	}
-	for mi := range mapOut {
-		for _, info := range mapOut[mi].runs {
-			seg := info.Segments[idx]
-			if seg.Records == 0 {
-				continue
-			}
-			if cfg.shared {
-				ss := &sharedSegSource[K, V]{dec: dec, part: int32(idx)}
-				ss.sr.Init(mapOut[mi].file, seg, info.Path)
-				sources = append(sources, ss)
-			} else {
-				sources = append(sources, &segSource[K, V]{
-					sr:   runio.NewSegmentReader(mapOut[mi].file, seg, info.Path),
-					dec:  dec,
-					part: int32(idx),
-				})
-			}
-			total += seg.Records
-			metrics.SpillBytesRead += seg.Len
-			spillRead.Add(seg.Len)
-		}
-		if b := mapOut[mi].buckets[idx]; len(b) > 0 {
-			sources = append(sources, &bucketSource[K, V]{recs: b, part: int32(idx)})
-			total += int64(len(b))
-		}
-	}
-	metrics.InputRecords = total
-
-	if err := hook.fire(FaultMerge); err != nil {
-		return rout, err
-	}
-	if st.obs != nil {
-		st.recordMerge(obs.EvBegin, obs.PhaseReduce, idx, attempt, total)
-		defer st.recordMerge(obs.EvEnd, obs.PhaseReduce, idx, attempt, total)
-	}
-	mg, err := newExtMerger(st, sources)
-	if err != nil {
-		return rout, err
-	}
-	group := st.pools.getRecBuf()
-	check := actx.Done() != nil
-	for n := 0; ; n++ {
-		if check && n&cancelCheckMask == 0 && actx.Err() != nil {
-			return rout, actx.Err()
-		}
-		rec, _, ok, err := mg.next()
-		if err != nil {
-			return rout, err
-		}
-		if !ok {
-			break
-		}
-		if len(group) > 0 && !st.sameGroup(&group[0], &rec) {
-			st.emitGroup(ctx, reducer, group)
-			group = group[:0]
-		}
-		group = append(group, rec)
-	}
-	if len(group) > 0 {
-		st.emitGroup(ctx, reducer, group)
-	}
-	st.pools.putRecBuf(group)
-	rout.out = ctx.out
-	return rout, nil
 }
 
 // ---- the spiller ----
 
-// extSpiller buffers one map task's emitted records, encoded once at
-// emit time (exact byte budget accounting, no re-encode at spill), and
-// flushes sorted runs whenever the encoded bytes reach the budget.
-type extSpiller[K, V any] struct {
-	cfg     *extConfig[K, V]
-	dir     string // the attempt's spill directory
-	prefix  string // run generation within the attempt ("g0"/"g1")
-	r       int
-	cmp     func(a, b *Rec[K, V]) int
-	part    func(K, int) int
-	limiter *sortLimiter
+// spiller is one map task's output buffer (MapContext.Emit appends to
+// it). With a spill budget it keeps every record encoded too — once,
+// at emit time: exact budget accounting, no re-encode at spill — and
+// flushes a sorted run whenever the encoded bytes reach the budget.
+type spiller[K, V any] struct {
+	cfg *flowConfig[K, V]
+	// budget is cfg.budget, except 0 for a combiner's output when the
+	// task's map output fit the budget: like the map output, it then
+	// stays in memory unencoded.
+	budget  int64
+	path    string // this generation's spill file ("" without a spill dir)
 	metrics *TaskMetrics
 	hook    *taskHook
 	// task/attempt identify the owning attempt in spill trace spans.
 	task    int
 	attempt int
 
-	recs  []Rec[K, V]
+	recs []Rec[K, V]
+	// enc/spans hold recs encoded when a budget is set; without one,
+	// enc is the per-record scratch of a whole-output spill.
 	enc   []byte
 	spans []extSpan
 	runs  []*runio.Info
-	count int64 // records appended over the task's lifetime
 	err   error // sticky: first spill failure stops the task
 
 	// All of a generation's runs are appended as sections of one spill
@@ -548,72 +240,54 @@ type extSpiller[K, V any] struct {
 	// create/close/reopen/unlink per run that dominated small-budget
 	// profiles.
 	f       *os.File
-	path    string
 	fileOff int64
 }
 
 type extSpan struct{ off, end int64 }
 
-// recordSpill emits a spill-span event with the owning attempt's
-// identity. Callers guard on cfg.obs.
-func (sp *extSpiller[K, V]) recordSpill(typ obs.EventType, arg int64) {
-	sp.cfg.obs.Tracer.Record(obs.Event{
-		Type: typ, Kind: obs.KSpill, Phase: obs.PhaseMap, Job: sp.cfg.jobID,
-		Task: int32(sp.task), Attempt: int32(sp.attempt), Arg: arg,
-	})
-}
-
-func (st *runState[I, K, V, O]) newSpiller(cfg *extConfig[K, V], dir, prefix string, task, attempt int, metrics *TaskMetrics, hook *taskHook) *extSpiller[K, V] {
-	return &extSpiller[K, V]{
-		cfg:     cfg,
-		dir:     dir,
-		prefix:  prefix,
-		r:       st.job.NumReduceTasks,
-		cmp:     st.cmp,
-		part:    st.job.Partition,
-		limiter: st.limiter,
-		metrics: metrics,
-		hook:    hook,
-		task:    task,
-		attempt: attempt,
+// add appends one record, spilling the buffered batch when a budget is
+// set and the encoded bytes reach it. Errors are sticky (checked by the
+// task after the map loop) because Emit has no error channel.
+func (sp *spiller[K, V]) add(rec Rec[K, V]) {
+	if sp.budget == 0 {
+		sp.recs = append(sp.recs, rec)
+		return
 	}
-}
-
-// add appends one record, spilling the buffered batch when the encoded
-// bytes reach the budget. Errors are sticky (checked by the task after
-// the map loop) because Emit has no error channel.
-func (sp *extSpiller[K, V]) add(rec Rec[K, V]) {
 	if sp.err != nil {
 		return
 	}
 	off := int64(len(sp.enc))
-	if sp.cfg.codeWidth != 0 {
-		sp.enc = binary.LittleEndian.AppendUint64(sp.enc, rec.code.Hi)
-		sp.enc = binary.LittleEndian.AppendUint64(sp.enc, rec.code.Lo)
-	}
-	sp.enc = sp.cfg.kc.Append(sp.enc, rec.Key)
-	sp.enc = sp.cfg.vc.Append(sp.enc, rec.Value)
+	sp.enc = sp.cfg.appendRec(sp.enc, &rec)
 	sp.spans = append(sp.spans, extSpan{off: off, end: int64(len(sp.enc))})
 	sp.recs = append(sp.recs, rec)
-	sp.count++
-	if int64(len(sp.enc)) >= sp.cfg.budget {
+	if int64(len(sp.enc)) >= sp.budget {
 		sp.err = sp.spill()
 	}
 }
 
+// records counts every record the spiller received: the spilled runs'
+// plus the in-memory tail.
+func (sp *spiller[K, V]) records() int64 {
+	n := int64(len(sp.recs))
+	for _, info := range sp.runs {
+		n += info.Records
+	}
+	return n
+}
+
 // closeFile closes the generation's spill file fd (idempotent). Called
-// when ownership is NOT being handed to extMapOutput: after the
+// when ownership is NOT being handed to the task's mapOutput: after the
 // map-side combine drains generation 0, or on attempt failure.
-func (sp *extSpiller[K, V]) closeFile() {
+func (sp *spiller[K, V]) closeFile() {
 	if sp.f != nil {
 		sp.f.Close()
 		sp.f = nil
 	}
 }
 
-// takeRecs hands the decoded tail to the caller and detaches it from
+// takeRecs hands the in-memory tail to the caller and detaches it from
 // the spiller (the encoded copy is dropped).
-func (sp *extSpiller[K, V]) takeRecs() []Rec[K, V] {
+func (sp *spiller[K, V]) takeRecs() []Rec[K, V] {
 	recs := sp.recs
 	sp.recs = nil
 	sp.enc = nil
@@ -621,21 +295,31 @@ func (sp *extSpiller[K, V]) takeRecs() []Rec[K, V] {
 	return recs
 }
 
+// recordSpill emits a spill-span event with the owning attempt's
+// identity. Callers guard on cfg.obs.
+func (sp *spiller[K, V]) recordSpill(typ obs.EventType, arg int64) {
+	sp.cfg.obs.Tracer.Record(obs.Event{
+		Type: typ, Kind: obs.KSpill, Phase: obs.PhaseMap, Job: sp.cfg.jobID,
+		Task: int32(sp.task), Attempt: int32(sp.attempt), Arg: arg,
+	})
+}
+
 // sortedPerm computes each buffered record's reduce partition and a
 // permutation that orders the batch by (partition, key) — binary key
 // code first, like every other sort in the engine — stable in emission
 // order. Both slices are pooled; the caller returns them.
-func (sp *extSpiller[K, V]) sortedPerm() (parts, perm []int32, err error) {
+func (sp *spiller[K, V]) sortedPerm() (parts, perm []int32, err error) {
 	n := len(sp.recs)
+	r := sp.cfg.r
 	parts = getInt32Buf(n)
 	perm = getInt32Buf(n)
 	for i := range sp.recs {
-		p := sp.part(sp.recs[i].Key, sp.r)
-		if p < 0 || p >= sp.r {
+		p := sp.cfg.part(sp.recs[i].Key, r)
+		if p < 0 || p >= r {
 			putInt32Buf(parts)
 			putInt32Buf(perm)
 			// A deterministic user-logic bug: re-running cannot fix it.
-			return nil, nil, Fatal(fmt.Errorf("partition function returned %d for %d reduce tasks", p, sp.r))
+			return nil, nil, Fatal(fmt.Errorf("partition function returned %d for %d reduce tasks", p, r))
 		}
 		parts[i] = int32(p)
 		perm[i] = int32(i)
@@ -648,20 +332,18 @@ func (sp *extSpiller[K, V]) sortedPerm() (parts, perm []int32, err error) {
 		if parts[a] != parts[b] {
 			return int(parts[a]) - int(parts[b])
 		}
-		return sp.cmp(&sp.recs[a], &sp.recs[b])
+		return sp.cfg.cmp(&sp.recs[a], &sp.recs[b])
 	}
 	scratch := getInt32Buf(n)
-	stableSortParallelG(perm, scratch, sp.limiter, cmp)
+	stableSortParallelG(perm, scratch, sp.cfg.limiter, cmp)
 	putInt32Buf(scratch)
 	return parts, perm, nil
 }
 
-// spill writes the buffered batch as one sorted run file and resets the
-// buffers (capacity retained: the next batch will be about as large).
-func (sp *extSpiller[K, V]) spill() error {
-	if len(sp.recs) == 0 {
-		return nil
-	}
+// spill writes the buffered batch as one sorted run section of the
+// spill file at sp.path and resets the buffers (capacity retained: the
+// next batch will be about as large).
+func (sp *spiller[K, V]) spill() error {
 	if err := sp.hook.fire(FaultSpill); err != nil {
 		return err
 	}
@@ -678,20 +360,27 @@ func (sp *extSpiller[K, V]) spill() error {
 	defer putInt32Buf(parts)
 	defer putInt32Buf(perm)
 	if sp.f == nil {
-		sp.path = filepath.Join(sp.dir, sp.prefix+".runs")
 		f, err := os.OpenFile(sp.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return fmt.Errorf("create spill file: %w", err)
 		}
 		sp.f = f
 	}
-	w, err := runio.NewRunWriter(sp.f, sp.fileOff, sp.r, sp.cfg.codeWidth)
+	w, err := runio.NewRunWriter(sp.f, sp.fileOff, sp.cfg.r, sp.cfg.codeWidth)
 	if err != nil {
 		return err
 	}
+	encoded := sp.budget > 0
 	for _, i := range perm {
-		s := sp.spans[i]
-		if err := w.Append(int(parts[i]), sp.enc[s.off:s.end]); err != nil {
+		var b []byte
+		if encoded {
+			s := sp.spans[i]
+			b = sp.enc[s.off:s.end]
+		} else {
+			sp.enc = sp.cfg.appendRec(sp.enc[:0], &sp.recs[i])
+			b = sp.enc
+		}
+		if err := w.Append(int(parts[i]), b); err != nil {
 			w.Abort()
 			return err
 		}
@@ -719,7 +408,7 @@ func (sp *extSpiller[K, V]) spill() error {
 	return nil
 }
 
-// ---- merge sources and the external merge heap ----
+// ---- streamed merge sources ----
 
 // recDecoder decodes one on-disk record (code ‖ key ‖ value) into a
 // Rec. On the byte path, decoded values never alias the read buffer
@@ -733,10 +422,7 @@ type recDecoder[K, V any] struct {
 	vdec      func(string) (V, int, error)
 }
 
-// newRecDecoder builds the per-attempt decoder; the shared decode
-// functions are stateful (arenas) and single-goroutine, hence one
-// decoder per task attempt, shared across that attempt's sources.
-func newRecDecoder[K, V any](cfg *extConfig[K, V]) *recDecoder[K, V] {
+func newRecDecoder[K, V any](cfg *flowConfig[K, V]) *recDecoder[K, V] {
 	d := &recDecoder[K, V]{kc: cfg.kc, vc: cfg.vc, codeWidth: cfg.codeWidth}
 	if cfg.shared {
 		d.kdec = cfg.kc.(runio.SharedDecoder[K]).NewSharedDecoder()
@@ -797,13 +483,6 @@ func (d *recDecoder[K, V]) decodeShared(b string, dst *Rec[K, V]) error {
 	//erlint:ignore arenaretain engine-internal transient: the record aliases the block only until the group callback returns; sinks clone what they retain
 	dst.Key, dst.Value = k, v
 	return nil
-}
-
-// mergeSource streams one pre-sorted sequence of records into the
-// external merge. next fills dst and reports the record's partition;
-// ok=false means the source is exhausted.
-type mergeSource[K, V any] interface {
-	next(dst *Rec[K, V]) (part int32, ok bool, err error)
 }
 
 // segSource streams one partition segment of one run file.
@@ -929,23 +608,6 @@ func (s *sharedRunSource[K, V]) next(dst *Rec[K, V]) (int32, bool, error) {
 	}
 }
 
-// bucketSource streams one in-memory tail bucket (reduce side: the
-// partition is fixed, the bucket is already sorted).
-type bucketSource[K, V any] struct {
-	recs []Rec[K, V]
-	part int32
-	i    int
-}
-
-func (s *bucketSource[K, V]) next(dst *Rec[K, V]) (int32, bool, error) {
-	if s.i >= len(s.recs) {
-		return 0, false, nil
-	}
-	*dst = s.recs[s.i]
-	s.i++
-	return s.part, true, nil
-}
-
 // tailSource streams the spiller's unspilled tail in (partition, key)
 // order through the sortedPerm permutation (map-side combine merge).
 type tailSource[K, V any] struct {
@@ -963,96 +625,4 @@ func (s *tailSource[K, V]) next(dst *Rec[K, V]) (int32, bool, error) {
 	*dst = s.recs[j]
 	s.i++
 	return s.parts[j], true, nil
-}
-
-// extMerger is the external counterpart of recMerger: a binary min-heap
-// over merge sources keyed by (partition, record, source index). The
-// source-index tiebreak is the (map task, run, tail) order the caller
-// appended sources in — the stability guarantee, extended to disk runs.
-type extMerger[I, K, V, O any] struct {
-	st   *runState[I, K, V, O]
-	heap []mergeItem[K, V]
-}
-
-type mergeItem[K, V any] struct {
-	rec  Rec[K, V]
-	part int32
-	seq  int32
-	src  mergeSource[K, V]
-}
-
-func newExtMerger[I, K, V, O any](st *runState[I, K, V, O], sources []mergeSource[K, V]) (*extMerger[I, K, V, O], error) {
-	m := &extMerger[I, K, V, O]{st: st, heap: make([]mergeItem[K, V], 0, len(sources))}
-	for i, src := range sources {
-		it := mergeItem[K, V]{seq: int32(i), src: src}
-		part, ok, err := src.next(&it.rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		it.part = part
-		m.heap = append(m.heap, it)
-	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
-	}
-	return m, nil
-}
-
-func (m *extMerger[I, K, V, O]) less(x, y *mergeItem[K, V]) bool {
-	if x.part != y.part {
-		return x.part < y.part
-	}
-	if c := m.st.cmpRec(&x.rec, &y.rec); c != 0 {
-		return c < 0
-	}
-	return x.seq < y.seq
-}
-
-func (m *extMerger[I, K, V, O]) siftDown(i int) {
-	h := m.heap
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		s := l
-		if r := l + 1; r < n && m.less(&h[r], &h[l]) {
-			s = r
-		}
-		if !m.less(&h[s], &h[i]) {
-			return
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-}
-
-// next pops the globally smallest remaining record and refills its
-// source. ok=false once every source is drained.
-func (m *extMerger[I, K, V, O]) next() (rec Rec[K, V], part int32, ok bool, err error) {
-	if len(m.heap) == 0 {
-		return rec, 0, false, nil
-	}
-	top := &m.heap[0]
-	rec, part = top.rec, top.part
-	p, more, err := top.src.next(&top.rec)
-	if err != nil {
-		return rec, part, false, err
-	}
-	if more {
-		top.part = p
-	} else {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap[last] = mergeItem[K, V]{} // drop source + record refs
-		m.heap = m.heap[:last]
-	}
-	if len(m.heap) > 1 {
-		m.siftDown(0)
-	}
-	return rec, part, true, nil
 }

@@ -10,6 +10,7 @@ package mapreduce_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,11 +101,24 @@ func clearSpillCounters(ms []mapreduce.TaskMetrics) {
 }
 
 func TestExternalWordCountDifferential(t *testing.T) {
+	type namedInput struct {
+		name  string
+		input [][]string
+	}
+	var inputs []namedInput
+	for m := 1; m <= 3; m++ {
+		inputs = append(inputs, namedInput{fmt.Sprintf("m=%d", m), wordInput(m)})
+	}
+	// One map task far below every mid budget next to two far above
+	// it: the reduce merge then mixes spilled and unspilled map outputs.
+	skewed := wordInput(3)
+	skewed[1] = []string{"fox a"}
+	inputs = append(inputs, namedInput{"skewed", skewed})
 	for _, combine := range []bool{false, true} {
 		for _, budget := range []int64{1, 64, 200, 1 << 20} {
-			for m := 1; m <= 3; m++ {
-				name := fmt.Sprintf("combine=%v/budget=%d/m=%d", combine, budget, m)
-				input := wordInput(m)
+			for _, in := range inputs {
+				name := fmt.Sprintf("combine=%v/budget=%d/%s", combine, budget, in.name)
+				input := in.input
 				job := wordJob(4, combine)
 
 				typed, err := job.RunContext(t.Context(), &mapreduce.Engine{}, input)
@@ -123,11 +137,12 @@ func TestExternalWordCountDifferential(t *testing.T) {
 
 				if budget == 1 {
 					// Every record triggers a spill: each map task must
-					// have flushed at least 4 runs.
+					// have flushed at least 4 runs (the skewed input's
+					// small task one per output record).
 					for i := range ext.MapMetrics {
-						if ext.MapMetrics[i].SpillRuns < 4 {
-							t.Errorf("%s: map task %d spilled %d runs, want >= 4",
-								name, i, ext.MapMetrics[i].SpillRuns)
+						if want := min(4, ext.MapMetrics[i].OutputRecords); ext.MapMetrics[i].SpillRuns < want {
+							t.Errorf("%s: map task %d spilled %d runs, want >= %d",
+								name, i, ext.MapMetrics[i].SpillRuns, want)
 						}
 					}
 				}
@@ -136,6 +151,19 @@ func TestExternalWordCountDifferential(t *testing.T) {
 						if ext.MapMetrics[i].SpillRuns != 0 {
 							t.Errorf("%s: map task %d spilled despite huge budget", name, i)
 						}
+					}
+				}
+				if in.name == "skewed" && budget > 1 && budget < 1<<20 {
+					var spilled, unspilled int
+					for i := range ext.MapMetrics {
+						if ext.MapMetrics[i].SpillRuns > 0 {
+							spilled++
+						} else {
+							unspilled++
+						}
+					}
+					if spilled == 0 || unspilled == 0 {
+						t.Errorf("%s: %d map tasks spilled and %d did not, want both kinds", name, spilled, unspilled)
 					}
 				}
 				clearSpillCounters(ext.MapMetrics)
@@ -152,6 +180,37 @@ func TestExternalWordCountDifferential(t *testing.T) {
 				if len(ents) != 0 {
 					t.Fatalf("%s: temp dir not empty after Run: %v", name, ents)
 				}
+			}
+		}
+	}
+}
+
+// TestTypedNeverTouchesDisk pins that DataflowTyped is the external
+// dataflow with no spill budget and nothing else: with TmpDir under a
+// regular file, creating any directory or file there would fail the
+// run.
+func TestTypedNeverTouchesDisk(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "regular-file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	input := wordInput(3)
+	for _, combine := range []bool{false, true} {
+		job := wordJob(4, combine)
+		want, err := job.RunContext(t.Context(), &mapreduce.Engine{Dataflow: mapreduce.DataflowReference}, input)
+		if err != nil {
+			t.Fatalf("combine=%v: reference: %v", combine, err)
+		}
+		for _, par := range []int{1, 4} {
+			got, err := job.RunContext(t.Context(), &mapreduce.Engine{
+				Parallelism: par,
+				TmpDir:      filepath.Join(blocker, "tmp"),
+			}, input)
+			if err != nil {
+				t.Fatalf("combine=%v/par=%d: typed run with an unusable TmpDir: %v", combine, par, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("combine=%v/par=%d: typed Result diverges from the reference dataflow", combine, par)
 			}
 		}
 	}

@@ -22,11 +22,13 @@
 // partition i arrive before those of partition j>i within one key group.
 // See DESIGN.md for the full merge/stability model.
 //
-// A Job[I, K, V, O] runs on one of three production paths, selected by
-// the Engine: the in-memory typed dataflow (the default), the
-// out-of-core external dataflow (DataflowExternal), and remote
-// dispatch to worker processes (Engine.Remote). All three hold
-// concrete key/value types end to end, and an optional
+// A Job[I, K, V, O] runs on one in-process dataflow or on remote
+// dispatch to worker processes (Engine.Remote), selected by the Engine.
+// The in-process dataflow has two modes: typed (the default), whose map
+// output stays in memory, and external (DataflowExternal), which adds a
+// spill budget beyond which map output goes to sorted on-disk runs;
+// both share one driver, map attempt, and reduce merge. Every path
+// holds concrete key/value types end to end, and an optional
 // order-preserving binary key code (KeyCoding) accelerates sort,
 // merge, and grouping, Hadoop-RawComparator-style. DataflowReference
 // is the serial oracle they are differentially tested against: the
@@ -85,7 +87,8 @@ type TaskMetrics struct {
 	Counters    map[string]int64
 
 	// The spill fields are only non-zero on the external dataflow
-	// (DataflowExternal): SpillRuns counts the sorted runs a map task
+	// (DataflowExternal) and on remote execution, whose map tasks each
+	// write one run: SpillRuns counts the sorted runs a map task
 	// flushed to disk, SpillBytesWritten the run-file bytes it wrote,
 	// and SpillBytesRead the run bytes streamed back (by reduce tasks,
 	// and by map tasks re-reading their own runs for the combiner).
@@ -150,18 +153,20 @@ type DataflowMode int
 
 const (
 	// DataflowTyped (the default) executes on the typed engine: concrete
-	// key/value types everywhere, optional binary key codes.
+	// key/value types everywhere, optional binary key codes. It is the
+	// external dataflow with no spill budget: map output never leaves
+	// memory, no codecs are needed, and no file is created.
 	DataflowTyped DataflowMode = iota
 	// DataflowReference runs the job serially on the reference
 	// dataflow (reference.go): concatenate, stable-sort, group, with no
 	// key codes or task supervision — the differential oracle.
 	DataflowReference
-	// DataflowExternal is the out-of-core dataflow: map output beyond
-	// the per-task SpillBudget is flushed to sorted on-disk runs
-	// (Hadoop's spill-file model), and reduce tasks stream an external
-	// k-way merge over disk segments and the in-memory tail. Requires a
-	// runio codec registered for the job's key and value types; results
-	// are byte-identical to DataflowTyped except the TaskMetrics spill
+	// DataflowExternal is the out-of-core dataflow: DataflowTyped plus a
+	// per-task SpillBudget beyond which map output is flushed to sorted
+	// on-disk runs (Hadoop's spill-file model), so reduce tasks merge
+	// disk segments with the in-memory tails. Requires a runio codec
+	// registered for the job's key and value types; results are
+	// byte-identical to DataflowTyped except the TaskMetrics spill
 	// counters. See external.go and DESIGN.md ("External dataflow").
 	DataflowExternal
 )
@@ -175,13 +180,13 @@ type Engine struct {
 	Dataflow DataflowMode
 	// SpillBudget bounds, in encoded bytes, the map-output buffer a
 	// task accumulates before flushing a sorted run to disk on the
-	// external dataflow (0 = DefaultSpillBudget). Ignored by the other
-	// dataflows.
+	// external dataflow (0 = DefaultSpillBudget). The other dataflows
+	// ignore it: DataflowTyped is the external dataflow with no budget.
 	SpillBudget int64
 	// TmpDir is where the external dataflow creates its per-run spill
 	// directory ("" = the system temp dir). The directory is created on
 	// demand and the per-run subdirectory is removed when the run returns,
-	// error or not.
+	// error or not. DataflowTyped never touches it.
 	TmpDir string
 	// Retry is the task-attempt supervision policy: every map/reduce
 	// task runs as a sequence of attempts governed by it (panic

@@ -73,20 +73,22 @@ func (j *Job[I, K, V, O]) refMap(t, m int, input []I, res *Result[I, O], buckets
 	r := j.NumReduceTasks
 	met := &res.MapMetrics[t]
 	*met = TaskMetrics{Kind: MapTask, Index: t}
-	ctx := &MapContext[I, K, V]{metrics: met}
+	// A spiller without a budget only appends.
+	buf := spiller[K, V]{}
+	ctx := &MapContext[I, K, V]{metrics: met, out: buf}
 	mapper := j.NewMapper()
 	mapper.Configure(m, r, t)
 	for _, rec := range input {
 		met.InputRecords++
 		mapper.Map(ctx, rec)
 	}
-	out := ctx.out
+	out := ctx.out.recs
 	if j.NewCombiner != nil {
 		combiner := j.NewCombiner()
 		combiner.Configure(m, r, t)
-		cctx := &MapContext[I, K, V]{metrics: met}
+		cctx := &MapContext[I, K, V]{metrics: met, out: buf}
 		j.refGroups(out, func(g []Rec[K, V]) { combiner.Combine(cctx, g[0].Key, g) })
-		out = cctx.out
+		out = cctx.out.recs
 		met.OutputRecords = int64(len(out))
 	}
 	res.SideOutput[t] = ctx.side

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,18 +12,19 @@ import (
 	"repro/internal/runio"
 )
 
-// This file is the engine's distributed-execution seam: the fourth
-// dispatch mode, selected by Engine.Remote. The master-side driver
-// (runRemote) runs the same task-attempt supervision as the local
-// dataflows — every remote task is one run/commit/discard sequence under
-// the RetryPolicy, so retries, backoff, speculation, and the task-commit
-// protocol apply unchanged to tasks that execute in another process.
-// The worker side re-runs the typed in-memory attempt verbatim
-// (RemoteRunnable wraps a concrete Job) and materializes map output as a
-// single sorted ERN1 run file, which makes the reduce phase a uniform
-// segment merge — exactly the external dataflow's reduce discipline —
-// so distributed results inherit the external≡typed byte-identity
-// proof. See DESIGN.md ("Distributed runtime").
+// This file is the engine's distributed-execution seam, selected by
+// Engine.Remote. The master-side driver (runRemote) runs the same
+// task-attempt supervision as the in-process dataflow — every remote
+// task is one run/commit/discard sequence under the RetryPolicy, so
+// retries, backoff, speculation, and the task-commit protocol apply
+// unchanged to tasks that execute in another process. The worker side
+// runs the in-process map attempt verbatim (RemoteRunnable wraps a
+// concrete Job) and writes the task's whole output as one sorted ERN1
+// run with the spiller's run writer; reduce attempts are the one reduce
+// attempt over one run segment per map task — exactly the external
+// dataflow's reduce discipline — so distributed results inherit the
+// external≡typed byte-identity proof. See DESIGN.md ("Distributed
+// runtime").
 //
 // Division of labor with internal/dist: this file defines the
 // process-agnostic contract (dispatcher interface, wire-free executor
@@ -134,33 +134,22 @@ func NewRemoteRunnable[I, K, V, O any](j *Job[I, K, V, O]) (RemoteRunnable, erro
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for input type %T", j.Name, *new(I))
 	}
-	kc, ok := runio.Lookup[K]()
-	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for key type %T", j.Name, *new(K))
-	}
-	vc, ok := runio.Lookup[V]()
-	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for value type %T", j.Name, *new(V))
+	st := newRunState(j)
+	if err := st.setCodecs("remote execution"); err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
 	}
 	oc, ok := runio.Lookup[O]()
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for output type %T", j.Name, *new(O))
 	}
-	rr := &remoteRunnable[I, K, V, O]{j: j, st: newRunState(j), ic: ic, kc: kc, vc: vc, oc: oc}
-	if rr.st.encode != nil {
-		rr.codeWidth = 16
-	}
-	return rr, nil
+	return &remoteRunnable[I, K, V, O]{j: j, st: st, ic: ic, oc: oc}, nil
 }
 
 type remoteRunnable[I, K, V, O any] struct {
-	j         *Job[I, K, V, O]
-	st        *runState[I, K, V, O]
-	ic        runio.Codec[I]
-	kc        runio.Codec[K]
-	vc        runio.Codec[V]
-	oc        runio.Codec[O]
-	codeWidth int
+	j  *Job[I, K, V, O]
+	st *runState[I, K, V, O]
+	ic runio.Codec[I]
+	oc runio.Codec[O]
 }
 
 func (rr *remoteRunnable[I, K, V, O]) JobName() string { return rr.j.Name }
@@ -173,15 +162,14 @@ func (rr *remoteRunnable[I, K, V, O]) ExecRemoteMap(ctx context.Context, m, task
 	if err != nil {
 		return nil, fmt.Errorf("map task %d input: %w", task, err)
 	}
-	return rr.st.execMapToRun(ctx, nil, task, m, recs, rr.ic, rr.kc, rr.vc, rr.codeWidth, runPath)
+	return rr.st.execMapToRun(ctx, nil, task, attempt, m, recs, rr.ic, runPath)
 }
 
 func (rr *remoteRunnable[I, K, V, O]) ExecRemoteReduce(ctx context.Context, m, task, attempt int, sources []SegmentSource) (*RemoteReduceResult, error) {
 	if err := rr.j.validate(m); err != nil {
 		return nil, Fatal(err)
 	}
-	dec := &recDecoder[K, V]{kc: rr.kc, vc: rr.vc, codeWidth: rr.codeWidth}
-	rout, err := rr.st.runReduceAttemptSegments(ctx, nil, task, m, sources, dec)
+	rout, err := rr.st.runReduceAttempt(ctx, nil, task, attempt, m, nil, sources)
 	if err != nil {
 		return nil, err
 	}
@@ -191,130 +179,38 @@ func (rr *remoteRunnable[I, K, V, O]) ExecRemoteReduce(ctx context.Context, m, t
 	return res, nil
 }
 
-// execMapToRun runs one in-memory typed map attempt and writes its
-// bucketed, sorted output as a single ERN1 run file — the shared
-// implementation of the worker-side executor and the master's local
-// degradation path. The run counters it sets (one run, its file bytes)
-// are execution history, outside the differential contract.
-func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHook, task, m int, input []I, ic runio.Codec[I], kc runio.Codec[K], vc runio.Codec[V], codeWidth int, runPath string) (*RemoteMapResult, error) {
-	mout, err := st.runMapAttempt(actx, hook, task, m, input)
+// execMapToRun runs one map attempt and writes its whole sorted output
+// as a single ERN1 run file at runPath — the shared implementation of
+// the worker-side executor and the master's local degradation path. The
+// run counters of that one run (SpillRuns, SpillBytesWritten) are
+// execution history, outside the differential contract.
+func (st *runState[I, K, V, O]) execMapToRun(actx context.Context, hook *taskHook, task, attempt, m int, input []I, ic runio.Codec[I], runPath string) (*RemoteMapResult, error) {
+	mout, err := st.runMapAttempt(actx, hook, task, attempt, m, input, runPath)
+	if err == nil {
+		err = mout.file.Close()
+	}
 	if err != nil {
-		st.pools.putRecBuf(mout.flat)
+		os.Remove(runPath)
 		return nil, err
 	}
-	info, err := writeRun(runPath, mout.buckets, kc, vc, codeWidth)
-	st.pools.putRecBuf(mout.flat)
-	if err != nil {
-		return nil, err
-	}
-	mout.metrics.SpillRuns++
-	mout.metrics.SpillBytesWritten += info.FileBytes
 	return &RemoteMapResult{
-		Info:      info,
+		Info:      mout.runs[0],
 		Side:      EncodeRecords(ic, mout.side),
 		SideCount: len(mout.side),
 		Metrics:   mout.metrics,
 	}, nil
 }
 
-// writeRun persists one map attempt's bucketed output as a sorted ERN1
-// run (one segment per reduce partition, records encoded like the
-// external dataflow's spill files: code ‖ key ‖ value).
-func writeRun[K, V any](path string, buckets [][]Rec[K, V], kc runio.Codec[K], vc runio.Codec[V], codeWidth int) (*runio.Info, error) {
-	w, err := runio.Create(path, len(buckets), codeWidth)
-	if err != nil {
-		return nil, err
+// checkRun rejects a map run whose shape disagrees with the job. A
+// worker of another build (version skew in NumReduceTasks or the key
+// coding) can write a valid ERN1 run that the reduce phase would index
+// out of range; failing the attempt lets the supervisor retry it.
+func (st *runState[I, K, V, O]) checkRun(task int, info *runio.Info) error {
+	if len(info.Segments) != st.r || info.CodeWidth != st.codeWidth {
+		return fmt.Errorf("map task %d: run has %d partitions and key-code width %d, want %d and %d",
+			task, len(info.Segments), info.CodeWidth, st.r, st.codeWidth)
 	}
-	var buf []byte
-	for p, b := range buckets {
-		for i := range b {
-			buf = buf[:0]
-			if codeWidth != 0 {
-				buf = binary.LittleEndian.AppendUint64(buf, b[i].code.Hi)
-				buf = binary.LittleEndian.AppendUint64(buf, b[i].code.Lo)
-			}
-			buf = kc.Append(buf, b[i].Key)
-			buf = vc.Append(buf, b[i].Value)
-			if err := w.Append(p, buf); err != nil {
-				w.Abort()
-				os.Remove(path)
-				return nil, err
-			}
-		}
-	}
-	info, err := w.Finish()
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	return info, nil
-}
-
-// runReduceAttemptSegments is the segment-merge reduce attempt shared
-// by the worker executor and the master's local degradation path: the
-// external dataflow's reduce discipline over one sorted run segment per
-// map task. Source order is the merge tiebreak, so callers must pass
-// segments in map-task order — that reproduces the typed engine's
-// map-task stability exactly (one run per task, no tail).
-func (st *runState[I, K, V, O]) runReduceAttemptSegments(actx context.Context, hook *taskHook, idx, m int, srcs []SegmentSource, dec *recDecoder[K, V]) (rout typedReduceOut[O], err error) {
-	defer recoverAttempt(&err)
-	if err := hook.fire(FaultTaskStart); err != nil {
-		return rout, err
-	}
-	j := st.job
-	metrics := &rout.metrics
-	ctx := &ReduceContext[O]{metrics: metrics, out: getOutBuf[O](st.outPool), hook: hook}
-	reducer := j.NewReducer()
-	reducer.Configure(m, j.NumReduceTasks, idx)
-
-	sources := make([]mergeSource[K, V], 0, len(srcs))
-	var total int64
-	for _, s := range srcs {
-		if s.Seg.Records == 0 {
-			continue
-		}
-		sources = append(sources, &segSource[K, V]{
-			sr:   runio.NewSegmentReader(s.R, s.Seg, s.Path),
-			dec:  dec,
-			part: int32(idx),
-		})
-		total += s.Seg.Records
-		metrics.SpillBytesRead += s.Seg.Len
-	}
-	metrics.InputRecords = total
-
-	if err := hook.fire(FaultMerge); err != nil {
-		return rout, err
-	}
-	mg, err := newExtMerger(st, sources)
-	if err != nil {
-		return rout, err
-	}
-	group := st.pools.getRecBuf()
-	check := actx.Done() != nil
-	for n := 0; ; n++ {
-		if check && n&cancelCheckMask == 0 && actx.Err() != nil {
-			return rout, actx.Err()
-		}
-		rec, _, ok, err := mg.next()
-		if err != nil {
-			return rout, err
-		}
-		if !ok {
-			break
-		}
-		if len(group) > 0 && !st.sameGroup(&group[0], &rec) {
-			st.emitGroup(ctx, reducer, group)
-			group = group[:0]
-		}
-		group = append(group, rec)
-	}
-	if len(group) > 0 {
-		st.emitGroup(ctx, reducer, group)
-	}
-	st.pools.putRecBuf(group)
-	rout.out = ctx.out
-	return rout, nil
+	return nil
 }
 
 // remoteMapOut is one distributed map attempt's private output.
@@ -339,13 +235,9 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for input type %T", j.Name, *new(I))
 	}
-	kc, ok := runio.Lookup[K]()
-	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for key type %T", j.Name, *new(K))
-	}
-	vc, ok := runio.Lookup[V]()
-	if !ok {
-		return nil, fmt.Errorf("mapreduce: job %q: remote execution: no runio codec registered for value type %T", j.Name, *new(V))
+	st := newRunState(j)
+	if err := st.setCodecs("remote execution"); err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
 	}
 	oc, ok := runio.Lookup[O]()
 	if !ok {
@@ -377,14 +269,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 
 	jobID := e.beginJob(j.Name)
 	defer e.endJob(jobID)
-
-	st := newRunState(j)
 	st.obs, st.jobID = e.Obs, jobID
-	codeWidth := 0
-	if st.encode != nil {
-		codeWidth = 16
-	}
-	dec := &recDecoder[K, V]{kc: kc, vc: vc, codeWidth: codeWidth}
 
 	r := j.NumReduceTasks
 	res := &Result[I, O]{
@@ -405,28 +290,25 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 			// The dispatcher owns the input blob from here on and
 			// returns it to the pool once its transport is done with it.
 			rm, err := e.Remote.RunMapAttempt(actx, m, task, attempt, EncodeRecords(ic, input[task]), len(input[task]), path)
-			if err != nil {
-				if !errors.Is(err, ErrNoWorkers) {
-					return out, err
-				}
+			if errors.Is(err, ErrNoWorkers) {
 				// Degradation ladder, bottom rung: no live worker — run
 				// the attempt in-process so the job still completes.
 				logDegraded()
-				rm, err = st.execMapToRun(actx, hook, task, m, input[task], ic, kc, vc, codeWidth, path)
-				if err != nil {
-					return out, err
-				}
-				out.side = DecodeSlice(ic, rm.Side, rm.SideCount) // round-trip even locally: one code path
-				PutBlob(rm.Side)
-				out.run = RemoteRun{MapTask: task, Path: path, Info: rm.Info}
-				out.metrics = rm.Metrics
-				return out, nil
+				rm, err = st.execMapToRun(actx, hook, task, attempt, m, input[task], ic, path)
 			}
-			side, derr := DecodeRecords(ic, rm.Side, rm.SideCount)
+			if err != nil {
+				return out, err
+			}
+			side, err := DecodeRecords(ic, rm.Side, rm.SideCount)
 			PutBlob(rm.Side)
-			if derr != nil {
+			if err != nil {
+				err = fmt.Errorf("map task %d: decode side output: %w", task, err)
+			} else {
+				err = st.checkRun(task, rm.Info)
+			}
+			if err != nil {
 				os.Remove(path)
-				return out, fmt.Errorf("map task %d: decode side output: %w", task, derr)
+				return out, err
 			}
 			info := rm.Info
 			info.Path = path
@@ -463,15 +345,15 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 	// ---- Reduce phase (remote dispatch over committed runs) ----
 	reduceOut := make([][]O, r)
 	rstats, rerr := superviseTasks(ctx, e, ReduceTask, jobID, r,
-		func(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
-			var rout typedReduceOut[O]
+		func(actx context.Context, hook *taskHook, task, attempt int) (reduceOutput[O], error) {
+			var rout reduceOutput[O]
 			rr, err := e.Remote.RunReduceAttempt(actx, m, task, attempt, runs)
 			if err != nil {
 				if !errors.Is(err, ErrNoWorkers) {
 					return rout, err
 				}
 				logDegraded()
-				return st.runReduceSegmentsLocal(actx, hook, task, m, runs, dec)
+				return st.runReduceSegmentsLocal(actx, hook, task, attempt, m, runs)
 			}
 			out := getOutBuf[O](st.outPool)
 			out, derr := DecodeRecordsInto(oc, rr.Output, rr.OutputCount, out)
@@ -484,7 +366,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 			rout.metrics = rr.Metrics
 			return rout, nil
 		},
-		func(task int, out typedReduceOut[O]) error {
+		func(task int, out reduceOutput[O]) error {
 			out.metrics.Kind = ReduceTask
 			out.metrics.Index = task
 			res.ReduceMetrics[task] = out.metrics
@@ -496,7 +378,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 			reduceOut[task] = out.out
 			return nil
 		},
-		func(out typedReduceOut[O]) { putOutBuf(st.outPool, out.out) },
+		func(out reduceOutput[O]) { putOutBuf(st.outPool, out.out) },
 	)
 	res.addStats(rstats)
 	if err := ctx.Err(); err != nil {
@@ -525,7 +407,7 @@ func (j *Job[I, K, V, O]) runRemote(ctx context.Context, e *Engine, input [][]I,
 // runReduceSegmentsLocal is the reduce-side degradation path: open each
 // committed run's master-local replica and merge the task's segments
 // in-process.
-func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hook *taskHook, task, m int, runs []RemoteRun, dec *recDecoder[K, V]) (rout typedReduceOut[O], err error) {
+func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hook *taskHook, task, attempt, m int, runs []RemoteRun) (rout reduceOutput[O], err error) {
 	srcs := make([]SegmentSource, 0, m)
 	files := make([]*os.File, 0, m)
 	defer func() {
@@ -545,7 +427,7 @@ func (st *runState[I, K, V, O]) runReduceSegmentsLocal(actx context.Context, hoo
 		files = append(files, f)
 		srcs = append(srcs, SegmentSource{R: f, Seg: run.Info.Segments[task], Path: run.Path})
 	}
-	return st.runReduceAttemptSegments(actx, hook, task, m, srcs, dec)
+	return st.runReduceAttempt(actx, hook, task, attempt, m, nil, srcs)
 }
 
 // EncodeRecords concatenates the codec encodings of recs into one blob
@@ -624,17 +506,6 @@ func DecodeRecordsInto[T any](c runio.Codec[T], b []byte, count int, dst []T) ([
 		return dst, fmt.Errorf("%w: %d trailing bytes after %d records", runio.ErrCorrupt, len(b), count)
 	}
 	return dst, nil
-}
-
-// DecodeSlice is DecodeRecords for blobs this process just encoded —
-// decoding cannot fail, so errors panic (an engine invariant, not an
-// input condition).
-func DecodeSlice[T any](c runio.Codec[T], b []byte, count int) []T {
-	recs, err := DecodeRecords(c, b, count)
-	if err != nil {
-		panic(fmt.Sprintf("mapreduce: round-trip decode of locally encoded records failed: %v", err))
-	}
-	return recs
 }
 
 // IsFatal reports whether err is marked Fatal (non-retryable). The dist

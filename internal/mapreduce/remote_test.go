@@ -177,3 +177,25 @@ func TestRemoteNoWorkersDegradesToLocal(t *testing.T) {
 		t.Fatal("degraded-to-local run diverges from local typed run")
 	}
 }
+
+// TestRemoteRunShapeMismatchFails: a worker that writes a valid run for
+// another NumReduceTasks (version skew) must fail the map attempt —
+// retried, then surfaced as a *TaskError — instead of crashing the
+// master on an out-of-range segment index in the reduce phase.
+func TestRemoteRunShapeMismatchFails(t *testing.T) {
+	const m, r = 3, 4
+	rr, err := mapreduce.NewRemoteRunnable(wordJob(r-1, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &mapreduce.Engine{Parallelism: 2, TmpDir: t.TempDir(), Remote: &localDispatcher{rr: rr}}
+	e.Retry.BaseBackoff = 1
+	_, err = wordJob(r, false).RunContext(t.Context(), e, wordInput(m))
+	var te *mapreduce.TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want one wrapping a *TaskError", err)
+	}
+	if ents, _ := os.ReadDir(e.TmpDir); len(ents) != 0 {
+		t.Fatalf("replica dir not cleaned: %v", ents)
+	}
+}

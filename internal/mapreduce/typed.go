@@ -3,13 +3,18 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/runio"
 )
 
 // This file is the typed engine: the generic, boxing-free realization of
-// the execution model described in the package comment. A Job[I, K, V, O]
+// the execution model described in the package comment, and its one
+// in-process driver for both DataflowTyped and DataflowExternal (the
+// latter only adds a spill budget, see external.go). A Job[I, K, V, O]
 // fixes four concrete types —
 //
 //	I – one map-input record (and, by convention, one side-output
@@ -164,11 +169,12 @@ type Result[I, O any] struct {
 }
 
 // MapContext is passed to map (and combine) calls for emitting
-// intermediate output and updating counters. It is owned by a single
-// task; methods are not safe for concurrent use by multiple goroutines.
+// intermediate output and updating counters. Emit appends to the task's
+// one output buffer; only the external dataflow's spill budget makes it
+// also encode and spill. A MapContext is owned by a single task; its
+// methods are not safe for concurrent use by multiple goroutines.
 type MapContext[I, K, V any] struct {
 	metrics *TaskMetrics
-	out     []Rec[K, V]
 	side    []I
 	// sideCap sizes the side-output buffer on first use: side emitters
 	// (the BDM job) write at most one record per input record, so the
@@ -176,13 +182,13 @@ type MapContext[I, K, V any] struct {
 	// regrows.
 	sideCap int
 	encode  func(K) Code
-	// spill, when non-nil, redirects emissions into the external
-	// dataflow's spiller instead of the in-memory out buffer (see
-	// external.go).
-	spill *extSpiller[K, V]
 	// hook is the attempt's fault-injection binding (nil when the engine
 	// has no FaultHook installed).
 	hook *taskHook
+	// out is the task's output buffer: a pooled record slice that, on
+	// the external dataflow, also encodes each record and spills sorted
+	// runs at the budget (see external.go).
+	out spiller[K, V]
 }
 
 // Emit appends an intermediate key-value pair to the task's output,
@@ -193,12 +199,7 @@ func (c *MapContext[I, K, V]) Emit(key K, value V) {
 	if c.encode != nil {
 		code = c.encode(key)
 	}
-	if c.spill != nil {
-		c.spill.add(Rec[K, V]{code: code, Key: key, Value: value})
-		c.metrics.OutputRecords++
-		return
-	}
-	c.out = append(c.out, Rec[K, V]{code: code, Key: key, Value: value})
+	c.out.add(Rec[K, V]{code: code, Key: key, Value: value})
 	c.metrics.OutputRecords++
 }
 
@@ -353,6 +354,10 @@ func (j *Job[I, K, V, O]) RunStream(ctx context.Context, e *Engine, input [][]I,
 	return j.run(ctx, e, input, &outputSink[O]{fn: out})
 }
 
+// run is the one in-process driver. DataflowTyped and DataflowExternal
+// are the same dataflow: the external one only adds a spill budget,
+// record codecs and a spill directory (flowConfig.initSpill), so jobs
+// without codecs still run typed and no typed run touches the disk.
 func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink *outputSink[O]) (*Result[I, O], error) {
 	m := len(input)
 	if err := j.validate(m); err != nil {
@@ -364,12 +369,22 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 	if e.Remote != nil {
 		return j.runRemote(ctx, e, input, sink)
 	}
-	switch e.Dataflow {
-	case DataflowReference:
+	if e.Dataflow == DataflowReference {
 		return j.runReference(ctx, input, sink)
-	case DataflowExternal:
-		return j.runExternal(ctx, e, input, sink)
 	}
+	st := newRunState(j)
+	if e.Dataflow == DataflowExternal {
+		if err := st.initSpill(e); err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
+		}
+		// The spill directory dies with this run on every exit path,
+		// cancellation included.
+		defer os.RemoveAll(st.dir)
+	}
+	st.limiter = newSortLimiter(e.Parallelism)
+	jobID := e.beginJob(j.Name)
+	defer e.endJob(jobID)
+	st.obs, st.jobID = e.Obs, jobID
 	r := j.NumReduceTasks
 
 	res := &Result[I, O]{
@@ -380,23 +395,24 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 		},
 		SideOutput: make([][]I, m),
 	}
-	st := newRunState(j)
-	st.limiter = newSortLimiter(e.Parallelism)
-	jobID := e.beginJob(j.Name)
-	defer e.endJob(jobID)
-	st.obs, st.jobID = e.Obs, jobID
 
 	// ---- Map phase ----
-	// mapOut[mapTask][reduceTask] holds the bucketed map output; the
-	// buckets of one task are carved out of the single backing array in
-	// mapFlat[mapTask], which is recycled once the reduce phase is done.
-	// Both are published per task by the supervisor's commit step.
-	mapOut := make([][][]Rec[K, V], m)
-	mapFlat := make([][]Rec[K, V], m)
-	st.mapPhase = typedMapPhase[I, K, V, O]{st: st, input: input, m: m, res: res, mapOut: mapOut, mapFlat: mapFlat}
+	// mapOut[mapTask] is the task's shuffle-ready output, published by
+	// the supervisor's commit step.
+	mapOut := make([]mapOutput[I, K, V], m)
+	st.mapPhase = mapPhase[I, K, V, O]{st: st, input: input, m: m, res: res, mapOut: mapOut}
 	st.mapSup.init(e, MapTask, jobID, &st.mapPhase)
 	mstats, merr := st.mapSup.supervise(ctx, m)
 	res.addStats(mstats)
+	// Committed map tasks that spilled hand over their spill file's open
+	// fd; close them all on every exit path from here on (the reduce
+	// phase reads through these fds via pread — runs are never
+	// reopened).
+	defer func() {
+		for i := range mapOut {
+			mapOut[i].closeFile()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", j.Name, err)
 	}
@@ -411,7 +427,7 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 	// Output is buffered per attempt and drained to the sink (or the
 	// collected Output) only at commit — the task-commit protocol.
 	reduceOut := make([][]O, r)
-	st.redPhase = typedReducePhase[I, K, V, O]{st: st, m: m, res: res, mapOut: mapOut, sink: sink, reduceOut: reduceOut}
+	st.redPhase = reducePhase[I, K, V, O]{st: st, m: m, res: res, mapOut: mapOut, sink: sink, reduceOut: reduceOut}
 	st.redSup.init(e, ReduceTask, jobID, &st.redPhase)
 	rstats, rerr := st.redSup.supervise(ctx, r)
 	res.addStats(rstats)
@@ -435,75 +451,109 @@ func (j *Job[I, K, V, O]) run(ctx context.Context, e *Engine, input [][]I, sink 
 		res.Output = append(res.Output, reduceOut[jj]...)
 		putOutBuf(st.outPool, reduceOut[jj])
 	}
-	// The spill buckets are dead now that every reduce task has drained
-	// them; recycle their backing arrays (putRecBuf clears the records,
-	// so pooled buffers never pin keys or values).
-	for _, flat := range mapFlat {
-		st.pools.putRecBuf(flat)
+	// The buckets are dead now that every reduce task has drained them;
+	// recycle their backing arrays (putRecBuf clears the records, so
+	// pooled buffers never pin keys or values).
+	for i := range mapOut {
+		st.pools.putRecBuf(mapOut[i].flat)
 	}
 	return res, nil
 }
 
-// typedMapOut is one typed map attempt's private output, published
-// atomically when the supervisor commits the attempt.
-type typedMapOut[I, K, V any] struct {
+// mapOutput is one map attempt's shuffle-ready output, published
+// atomically when the supervisor commits the attempt: the in-memory
+// tail, bucketed by partition and sorted, plus — on the external
+// dataflow — the sorted runs the attempt spilled, all sections of one
+// open spill file in the attempt's directory. The commit step renames
+// dir to the task's final name (updating the run paths) or reaps it
+// when the attempt is discarded.
+type mapOutput[I, K, V any] struct {
 	buckets [][]Rec[K, V]
 	flat    []Rec[K, V]
 	side    []I
+	runs    []*runio.Info
+	file    *os.File // the open spill file holding every run in runs
+	dir     string   // the attempt's spill directory ("" on DataflowTyped)
 	metrics TaskMetrics
 }
 
-// typedReduceOut is one typed reduce attempt's private output.
-type typedReduceOut[O any] struct {
+func (out *mapOutput[I, K, V]) closeFile() {
+	if out.file != nil {
+		out.file.Close()
+		out.file = nil
+	}
+}
+
+// reduceOutput is one reduce attempt's private output.
+type reduceOutput[O any] struct {
 	out     []O
 	metrics TaskMetrics
 }
 
-// typedMapPhase is the map phase's taskOps: run one map attempt,
-// publish its buckets, side output, and metrics at commit.
-type typedMapPhase[I, K, V, O any] struct {
-	st      *runState[I, K, V, O]
-	input   [][]I
-	m       int
-	res     *Result[I, O]
-	mapOut  [][][]Rec[K, V]
-	mapFlat [][]Rec[K, V]
+// mapPhase is the map phase's taskOps: run one map attempt, publish
+// its output, side output, and metrics at commit.
+type mapPhase[I, K, V, O any] struct {
+	st     *runState[I, K, V, O]
+	input  [][]I
+	m      int
+	res    *Result[I, O]
+	mapOut []mapOutput[I, K, V]
 }
 
-func (p *typedMapPhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (typedMapOut[I, K, V], error) {
-	return p.st.runMapAttempt(actx, hook, task, p.m, p.input[task])
+func (p *mapPhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (mapOutput[I, K, V], error) {
+	return p.st.runMapAttempt(actx, hook, task, attempt, p.m, p.input[task], "")
 }
 
-func (p *typedMapPhase[I, K, V, O]) commitTask(task int, out typedMapOut[I, K, V]) error {
+func (p *mapPhase[I, K, V, O]) commitTask(task int, out mapOutput[I, K, V]) error {
+	if len(out.runs) > 0 {
+		// Adopt the attempt's spill directory under the task's final
+		// name; the rename is the commit point for the on-disk runs.
+		// The spill file's open fd survives the rename — the reduce
+		// phase reads through it, so the file is never reopened.
+		final := filepath.Join(p.st.dir, fmt.Sprintf("m%04d", task))
+		if err := os.Rename(out.dir, final); err != nil {
+			out.closeFile()
+			return fmt.Errorf("adopt spill dir: %w", err)
+		}
+		for _, info := range out.runs {
+			info.Path = filepath.Join(final, filepath.Base(info.Path))
+		}
+	} else if out.dir != "" {
+		os.RemoveAll(out.dir)
+	}
 	out.metrics.Kind = MapTask
 	out.metrics.Index = task
 	p.res.MapMetrics[task] = out.metrics
 	p.res.SideOutput[task] = out.side
-	p.mapOut[task], p.mapFlat[task] = out.buckets, out.flat
+	p.mapOut[task] = out
 	return nil
 }
 
-func (p *typedMapPhase[I, K, V, O]) discardOut(out typedMapOut[I, K, V]) {
+func (p *mapPhase[I, K, V, O]) discardOut(out mapOutput[I, K, V]) {
+	out.closeFile()
+	if out.dir != "" {
+		os.RemoveAll(out.dir)
+	}
 	p.st.pools.putRecBuf(out.flat)
 }
 
-// typedReducePhase is the reduce phase's taskOps. Output is buffered
-// per attempt and drained to the sink (or the collected Output) only at
+// reducePhase is the reduce phase's taskOps. Output is buffered per
+// attempt and drained to the sink (or the collected Output) only at
 // commit — the task-commit protocol.
-type typedReducePhase[I, K, V, O any] struct {
+type reducePhase[I, K, V, O any] struct {
 	st        *runState[I, K, V, O]
 	m         int
 	res       *Result[I, O]
-	mapOut    [][][]Rec[K, V]
+	mapOut    []mapOutput[I, K, V]
 	sink      *outputSink[O]
 	reduceOut [][]O
 }
 
-func (p *typedReducePhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (typedReduceOut[O], error) {
-	return p.st.runReduceAttempt(actx, hook, task, attempt, p.m, p.mapOut)
+func (p *reducePhase[I, K, V, O]) runTaskAttempt(actx context.Context, hook *taskHook, task, attempt int) (reduceOutput[O], error) {
+	return p.st.runReduceAttempt(actx, hook, task, attempt, p.m, p.mapOut, nil)
 }
 
-func (p *typedReducePhase[I, K, V, O]) commitTask(task int, out typedReduceOut[O]) error {
+func (p *reducePhase[I, K, V, O]) commitTask(task int, out reduceOutput[O]) error {
 	out.metrics.Kind = ReduceTask
 	out.metrics.Index = task
 	p.res.ReduceMetrics[task] = out.metrics
@@ -516,45 +566,33 @@ func (p *typedReducePhase[I, K, V, O]) commitTask(task int, out typedReduceOut[O
 	return nil
 }
 
-func (p *typedReducePhase[I, K, V, O]) discardOut(out typedReduceOut[O]) {
+func (p *reducePhase[I, K, V, O]) discardOut(out reduceOutput[O]) {
 	putOutBuf(p.st.outPool, out.out)
 }
 
-// runState carries the per-run comparator/group fast paths and the
-// process-wide pooled scratch buffers of the job's (K, V) types.
+// runState carries the per-run comparator/group fast paths, the
+// dataflow parameters (flowConfig: spill budget, codecs, pools, sort
+// limiter, observability identity) and the supervision state of one
+// run.
 type runState[I, K, V, O any] struct {
+	flowConfig[K, V]
+
 	job    *Job[I, K, V, O]
 	encode func(K) Code
 	exact  bool
 	gbits  int
 	group  func(a, b K) int
 
-	pools   *recPools[K, V]
 	outPool *slicePool[O] // pooled []O reduce-output buffers
-
-	// cmp is cmpRec bound once per run so the sort machinery receives a
-	// stable func value instead of allocating a method closure per call.
-	cmp func(a, b *Rec[K, V]) int
-	// limiter bounds the extra goroutines all of this run's sorts may
-	// spawn (nil = serial). Sized from Engine.Parallelism by run /
-	// runExternal; the remote path never sorts Recs.
-	limiter *sortLimiter
-
-	// obs/jobID carry the run's observability identity into the attempt
-	// runners (merge spans). nil/0 when observability is off — including
-	// always on the worker side of remote execution, where tracing
-	// happens at the dist layer instead.
-	obs   *obs.Observer
-	jobID uint32
 
 	// Supervision state for the two phases, embedded so the fault-free
 	// fast path allocates nothing per phase: &st.mapPhase converts to
 	// taskOps without boxing, and the supervisors live in this one
 	// allocation instead of one per phase.
-	mapPhase typedMapPhase[I, K, V, O]
-	mapSup   taskSupervisor[typedMapOut[I, K, V]]
-	redPhase typedReducePhase[I, K, V, O]
-	redSup   taskSupervisor[typedReduceOut[O]]
+	mapPhase mapPhase[I, K, V, O]
+	mapSup   taskSupervisor[mapOutput[I, K, V]]
+	redPhase reducePhase[I, K, V, O]
+	redSup   taskSupervisor[reduceOutput[O]]
 }
 
 func newRunState[I, K, V, O any](j *Job[I, K, V, O]) *runState[I, K, V, O] {
@@ -564,12 +602,20 @@ func newRunState[I, K, V, O any](j *Job[I, K, V, O]) *runState[I, K, V, O] {
 		exact:   j.Coding.Exact,
 		gbits:   j.Coding.GroupBits,
 		group:   j.Group,
-		pools:   poolFor[K, V](),
 		outPool: outPoolFor[O](),
 	}
 	if st.group == nil {
 		st.group = j.Compare
 	}
+	st.r = j.NumReduceTasks
+	st.part = j.Partition
+	st.pools = poolFor[K, V]()
+	if st.encode != nil {
+		st.codeWidth = 16
+	}
+	// cmpRec bound once per run so the sort and merge machinery receive
+	// a stable func value instead of allocating a method closure per
+	// call.
 	st.cmp = st.cmpRec
 	return st
 }
@@ -599,42 +645,131 @@ func (st *runState[I, K, V, O]) sameGroup(a, b *Rec[K, V]) bool {
 	return st.group(a.Key, b.Key) == 0
 }
 
-func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, m int, input []I) (mout typedMapOut[I, K, V], err error) {
+// newMapContext builds a map (or combine) context whose output buffer
+// spills, on the external dataflow, to file in the attempt's dir.
+func (st *runState[I, K, V, O]) newMapContext(metrics *TaskMetrics, hook *taskHook, dir, file string, idx, attempt int) *MapContext[I, K, V] {
+	c := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, hook: hook}
+	c.out = spiller[K, V]{cfg: &st.flowConfig, budget: st.budget, metrics: metrics, hook: hook, task: idx, attempt: attempt, recs: st.pools.getRecBuf()}
+	if dir != "" {
+		c.out.path = filepath.Join(dir, file)
+	}
+	return c
+}
+
+// runMapAttempt runs one map attempt — the mapper over the task's
+// input, then the combiner — and returns its output as sorted buckets
+// plus any runs it spilled. When runPath is set (the remote executor)
+// the whole output is instead written as one sorted run at runPath.
+func (st *runState[I, K, V, O]) runMapAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, input []I, runPath string) (out mapOutput[I, K, V], err error) {
+	// Declared before recoverAttempt so it runs after it (LIFO): by the
+	// time the attempt's spill directory is reaped, a recovered panic has
+	// already been translated into err. Spill-file fds opened by the
+	// attempt's spillers are closed on the same path.
+	var ctx, cctx *MapContext[I, K, V]
+	defer func() {
+		if err == nil {
+			return
+		}
+		if ctx != nil {
+			ctx.out.closeFile()
+		}
+		if cctx != nil {
+			cctx.out.closeFile()
+		}
+		if out.dir != "" {
+			os.RemoveAll(out.dir)
+			out.dir = ""
+		}
+	}()
 	defer recoverAttempt(&err)
 	if err := hook.fire(FaultTaskStart); err != nil {
-		return mout, err
+		return out, err
+	}
+	if st.dir != "" {
+		out.dir = filepath.Join(st.dir, fmt.Sprintf("m%04d-a%03d", idx, attempt))
+		if err := os.MkdirAll(out.dir, 0o755); err != nil {
+			return out, err
+		}
 	}
 	j := st.job
-	r := j.NumReduceTasks
-	metrics := &mout.metrics
-	ctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, out: st.pools.getRecBuf(), sideCap: len(input), hook: hook}
+	metrics := &out.metrics
+	ctx = st.newMapContext(metrics, hook, out.dir, "g0.runs", idx, attempt)
+	ctx.sideCap = len(input)
 	mapper := j.NewMapper()
-	mapper.Configure(m, r, idx)
+	mapper.Configure(m, j.NumReduceTasks, idx)
 	// Attempt cancellation (a losing speculative attempt, a per-attempt
 	// timeout) is observed between input records; the gate keeps
 	// background-context runs free of per-record checks.
 	check := actx.Done() != nil
 	for i := range input {
 		if check && i&cancelCheckMask == 0 && actx.Err() != nil {
-			return mout, actx.Err()
+			return out, actx.Err()
 		}
 		metrics.InputRecords++
 		mapper.Map(ctx, input[i])
 	}
-	out := ctx.out
-	if j.NewCombiner != nil {
-		combined, cerr := st.combine(idx, m, out, metrics, hook)
-		if cerr != nil {
-			return mout, cerr
-		}
-		st.pools.putRecBuf(out)
-		out = combined
-		// The combiner rewrote the task's output; fix the metric.
-		metrics.OutputRecords = int64(len(out))
+	sp := &ctx.out
+	if sp.err != nil {
+		return out, sp.err
 	}
-	mout.side = ctx.side
-	mout.buckets, mout.flat, err = st.partitionAndSort(out)
-	return mout, err
+	out.side = ctx.side
+	if j.NewCombiner != nil {
+		cctx = st.newMapContext(metrics, hook, out.dir, "g1.runs", idx, attempt)
+		if len(sp.runs) == 0 {
+			// Nothing spilled: the combine runs in memory, and so does
+			// its output.
+			cctx.out.budget = 0
+		}
+		if err := st.combine(idx, m, sp, cctx); err != nil {
+			return out, err
+		}
+		sp = &cctx.out
+		if sp.err != nil {
+			return out, sp.err
+		}
+		// The combiner rewrote the task's output; fix the metric.
+		metrics.OutputRecords = sp.records()
+	}
+	if runPath != "" {
+		sp.path = runPath
+		err = sp.spill()
+		out.runs, out.file = sp.runs, sp.f
+		st.pools.putRecBuf(sp.takeRecs())
+		return out, err
+	}
+	out.runs, out.file = sp.runs, sp.f
+	out.buckets, out.flat, err = st.partitionAndSort(sp.takeRecs())
+	return out, err
+}
+
+// combine runs the job's combiner over one map task's output in sp,
+// grouped exactly like the reduce side would group it, emitting into
+// cctx.
+func (st *runState[I, K, V, O]) combine(idx, m int, sp *spiller[K, V], cctx *MapContext[I, K, V]) error {
+	combiner := st.job.NewCombiner()
+	combiner.Configure(m, st.job.NumReduceTasks, idx)
+	if len(sp.runs) > 0 {
+		// Map-side external merge + combine: stream the spilled runs and
+		// the sorted tail back in (partition, key, run) order and cut the
+		// stream into the same groups the in-memory combine forms (a
+		// group never spans partitions — grouping must be compatible
+		// with partitioning, as in Hadoop).
+		return st.mergeSpilled(sp, func(group []Rec[K, V]) {
+			combiner.Combine(cctx, group[0].Key, group)
+		})
+	}
+	out := sp.takeRecs()
+	st.sortRecsStable(out)
+	for lo := 0; lo < len(out); {
+		hi := lo + 1
+		for hi < len(out) && st.sameGroup(&out[lo], &out[hi]) {
+			hi++
+		}
+		combiner.Combine(cctx, out[lo].Key, out[lo:hi])
+		lo = hi
+	}
+	st.pools.putRecBuf(out)
+	return nil
 }
 
 // partitionAndSort buckets one map task's (possibly combined) output by
@@ -664,7 +799,7 @@ func (st *runState[I, K, V, O]) partitionAndSort(out []Rec[K, V]) (buckets [][]R
 		counts[p]++
 	}
 	// The buckets' shared backing array comes from the record pool (a
-	// previous run's spill array, recycled at the end of Run).
+	// previous run's bucket array, recycled at the end of run).
 	flat = st.pools.getRecBuf()
 	if cap(flat) < len(out) {
 		flat = make([]Rec[K, V], len(out))
@@ -700,25 +835,13 @@ func (st *runState[I, K, V, O]) partitionAndSort(out []Rec[K, V]) (buckets [][]R
 	return buckets, flat, nil
 }
 
-// combine runs the job's combiner over one map task's output, grouped
-// exactly like the reduce side would group it.
-func (st *runState[I, K, V, O]) combine(idx, m int, out []Rec[K, V], metrics *TaskMetrics, hook *taskHook) ([]Rec[K, V], error) {
-	st.sortRecsStable(out)
-	combiner := st.job.NewCombiner()
-	combiner.Configure(m, st.job.NumReduceTasks, idx)
-	cctx := &MapContext[I, K, V]{metrics: metrics, encode: st.encode, out: st.pools.getRecBuf(), hook: hook}
-	for lo := 0; lo < len(out); {
-		hi := lo + 1
-		for hi < len(out) && st.sameGroup(&out[lo], &out[hi]) {
-			hi++
-		}
-		combiner.Combine(cctx, out[lo].Key, out[lo:hi])
-		lo = hi
-	}
-	return cctx.out, nil
-}
-
-func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, mapOut [][][]Rec[K, V]) (rout typedReduceOut[O], err error) {
+// runReduceAttempt runs one reduce attempt over the task's sorted
+// sources: for each map task in task order, the partition-idx segments
+// of its spilled runs in run order, then its in-memory bucket (mapOut);
+// on the remote paths, one run segment per map task in task order
+// (segs). Source order is the merge tiebreak, which extends map-task
+// order with temporal run order — the stability guarantee.
+func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *taskHook, idx, attempt, m int, mapOut []mapOutput[I, K, V], segs []SegmentSource) (rout reduceOutput[O], err error) {
 	defer recoverAttempt(&err)
 	if err := hook.fire(FaultTaskStart); err != nil {
 		return rout, err
@@ -729,55 +852,67 @@ func (st *runState[I, K, V, O]) runReduceAttempt(actx context.Context, hook *tas
 	reducer := j.NewReducer()
 	reducer.Configure(m, j.NumReduceTasks, idx)
 
-	// Streaming k-way merge of the pre-sorted spill buckets. Equal keys
-	// are popped in map-task order (heap ties break on bucket index),
-	// reproducing the concat+stable-sort order exactly.
+	part := int32(idx)
+	mg := newMerger(st)
+	defer mg.release()
+	for mi := range mapOut {
+		o := &mapOut[mi]
+		for _, info := range o.runs {
+			mg.addSegment(o.file, info.Segments[idx], info.Path, part)
+		}
+		mg.addRun(o.buckets[idx], part)
+	}
+	for _, s := range segs {
+		mg.addSegment(s.R, s.Seg, s.Path, part)
+	}
+	metrics.InputRecords = mg.records
+	metrics.SpillBytesRead = mg.spillBytes
+	if st.obs != nil {
+		st.obs.Engine.SpillBytesRead.Add(mg.spillBytes)
+	}
+
 	if err := hook.fire(FaultMerge); err != nil {
 		return rout, err
 	}
-	runs := st.pools.getRunsBuf(m)
-	total := 0
-	for mi := 0; mi < m; mi++ {
-		if b := mapOut[mi][idx]; len(b) > 0 {
-			runs = append(runs, b)
-			total += len(b)
-		}
-	}
-	metrics.InputRecords = int64(total)
 	if st.obs != nil {
-		st.recordMerge(obs.EvBegin, obs.PhaseReduce, idx, attempt, int64(total))
-		defer st.recordMerge(obs.EvEnd, obs.PhaseReduce, idx, attempt, int64(total))
+		st.recordMerge(obs.EvBegin, obs.PhaseReduce, idx, attempt, mg.records)
+		defer st.recordMerge(obs.EvEnd, obs.PhaseReduce, idx, attempt, mg.records)
 	}
-	check := actx.Done() != nil
-	switch len(runs) {
-	case 0:
-	case 1:
-		// Single non-empty bucket: it is the task's sorted input; pass
+	if err := mg.start(); err != nil {
+		return rout, err
+	}
+	if len(mg.items) == 1 && mg.items[0].src == nil {
+		// A single in-memory bucket is the task's sorted input: pass
 		// group subslices straight through, no copying at all.
-		st.reduceSortedRun(ctx, reducer, runs[0])
-	default:
-		mg := newRecMerger(st, runs)
-		group := st.pools.getRecBuf()
-		rec, _ := mg.next()
-		group = append(group, rec)
-		for n := 0; ; n++ {
-			if check && n&cancelCheckMask == 0 && actx.Err() != nil {
-				return rout, actx.Err()
-			}
-			rec, ok := mg.next()
-			if !ok {
-				break
-			}
-			if !st.sameGroup(&group[0], &rec) {
-				st.emitGroup(ctx, reducer, group)
-				group = group[:0]
-			}
-			group = append(group, rec)
-		}
-		st.emitGroup(ctx, reducer, group)
-		st.pools.putRecBuf(group)
+		st.reduceSortedRun(ctx, reducer, mg.items[0].recs)
+		rout.out = ctx.out
+		return rout, nil
 	}
-	st.pools.putRunsBuf(runs)
+	// Stream the merge through a reused group buffer: the full reduce
+	// input is never materialized.
+	group := st.pools.getRecBuf()
+	check := actx.Done() != nil
+	for n := 0; ; n++ {
+		if check && n&cancelCheckMask == 0 && actx.Err() != nil {
+			return rout, actx.Err()
+		}
+		rec, _, ok, err := mg.next()
+		if err != nil {
+			return rout, err
+		}
+		if !ok {
+			break
+		}
+		if len(group) > 0 && !st.sameGroup(&group[0], &rec) {
+			st.emitGroup(ctx, reducer, group)
+			group = group[:0]
+		}
+		group = append(group, rec)
+	}
+	if len(group) > 0 {
+		st.emitGroup(ctx, reducer, group)
+	}
+	st.pools.putRecBuf(group)
 	rout.out = ctx.out
 	return rout, nil
 }

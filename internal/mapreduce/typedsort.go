@@ -61,12 +61,12 @@ func (st *runState[I, K, V, O]) sortBuckets(buckets [][]Rec[K, V]) {
 
 // ---- pooled typed scratch buffers ----
 
-// recPools holds the reusable record and run-list buffers of one
+// recPools holds the reusable record and merge-item buffers of one
 // (K, V) instantiation, built on slicePool (sort.go) with its capacity
 // bound and clearing discipline.
 type recPools[K, V any] struct {
 	recBuf  slicePool[Rec[K, V]]
-	runsBuf slicePool[[]Rec[K, V]]
+	itemBuf slicePool[mergeItem[K, V]]
 }
 
 // recPoolRegistry maps a Rec[K, V] type to its process-wide *recPools:
@@ -127,18 +127,12 @@ func (p *recPools[K, V]) putRecBuf(b []Rec[K, V]) {
 	p.recBuf.put(b[:0])
 }
 
-// getRunsBuf returns an empty [][]Rec with capacity for at least n runs.
-func (p *recPools[K, V]) getRunsBuf(n int) [][]Rec[K, V] {
-	if b := p.runsBuf.get(); cap(b) >= n {
-		return b[:0]
-	}
-	return make([][]Rec[K, V], 0, n)
-}
-
-func (p *recPools[K, V]) putRunsBuf(b [][]Rec[K, V]) {
+// putItemBuf recycles a merge's item buffer, cleared so the pool pins
+// no records, buckets or sources.
+func (p *recPools[K, V]) putItemBuf(b []mergeItem[K, V]) {
 	if cap(b) == 0 || cap(b) > maxPooledCap {
 		return
 	}
-	clear(b[:cap(b)]) // drop bucket references
-	p.runsBuf.put(b[:0])
+	clear(b[:cap(b)])
+	p.itemBuf.put(b[:0])
 }

@@ -19,10 +19,7 @@ import (
 func writeCorruptibleRun(t *testing.T) (string, *Info) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.run")
-	w, err := Create(path, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createRun(t, path, 3, 0)
 	for _, rec := range [][]byte{[]byte("alpha"), []byte("bravo-longer-record")} {
 		if err := w.Append(0, rec); err != nil {
 			t.Fatal(err)

@@ -58,22 +58,17 @@ type Info struct {
 	FileBytes int64
 }
 
-// Writer writes one run file. Records must be appended in ascending
-// partition order (within a partition, the caller's sort order is
-// preserved). Writers are single-goroutine, like the map task that owns
-// them.
+// Writer writes one run section of a caller-owned file. Records must
+// be appended in ascending partition order (within a partition, the
+// caller's sort order is preserved). Writers are single-goroutine, like
+// the map task that owns them.
 type Writer struct {
-	f    *os.File
 	bw   *bufio.Writer
 	info Info
 	off  int64
 	base int64 // file offset where this run's section starts
 	cur  int
 	err  error
-	// owned reports whether the writer opened f itself (Create) and so
-	// closes it on Finish/Abort; section writers (NewRunWriter) share a
-	// caller-owned fd and leave it open.
-	owned bool
 	// lenBuf is the varint scratch for Append's record-length prefix. As
 	// a struct field it is heap-allocated once per run; as an Append
 	// local it escapes into a fresh heap allocation per record (the
@@ -89,23 +84,6 @@ var bwPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(io.Discard, 64<<10) },
 }
 
-// Create opens a new run file for writing. numPartitions is the job's
-// reduce task count r; codeWidth must be 0 or 16. The writer owns the
-// file and closes it on Finish/Abort.
-func Create(path string, numPartitions, codeWidth int) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runio: create run: %w", err)
-	}
-	w, err := NewRunWriter(f, 0, numPartitions, codeWidth)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.owned = true
-	return w, nil
-}
-
 // NewRunWriter starts a new run section in f at offset base, which must
 // be f's current write position (sections are appended sequentially).
 // The section is a complete, self-delimiting run image — header,
@@ -117,15 +95,14 @@ func Create(path string, numPartitions, codeWidth int) (*Writer, error) {
 func NewRunWriter(f *os.File, base int64, numPartitions, codeWidth int) (*Writer, error) {
 	path := f.Name()
 	if numPartitions <= 0 {
-		return nil, fmt.Errorf("runio: Create %s: numPartitions must be > 0, got %d", path, numPartitions)
+		return nil, fmt.Errorf("runio: new run in %s: numPartitions must be > 0, got %d", path, numPartitions)
 	}
 	if codeWidth != 0 && codeWidth != 16 {
-		return nil, fmt.Errorf("runio: Create %s: code width must be 0 or 16, got %d", path, codeWidth)
+		return nil, fmt.Errorf("runio: new run in %s: code width must be 0 or 16, got %d", path, codeWidth)
 	}
 	bw := bwPool.Get().(*bufio.Writer)
 	bw.Reset(f)
 	w := &Writer{
-		f:    f,
 		bw:   bw,
 		base: base,
 		info: Info{
@@ -186,12 +163,11 @@ func (w *Writer) Append(partition int, rec []byte) error {
 }
 
 // Finish writes the trailer, flushes, and returns the run's segment
-// index. Owned files (Create) are closed; shared files (NewRunWriter)
-// stay open for the caller. The writer is unusable afterwards.
+// index. The file stays open for the caller. The writer is unusable
+// afterwards.
 func (w *Writer) Finish() (*Info, error) {
 	defer w.releaseBW()
 	if w.err != nil {
-		w.closeOwned()
 		return nil, w.err
 	}
 	for p := w.cur + 1; p < len(w.info.Segments); p++ {
@@ -210,40 +186,23 @@ func (w *Writer) Finish() (*Info, error) {
 	tr = binary.LittleEndian.AppendUint64(tr, uint64(trailerOff))
 	tr = append(tr, runMagic...)
 	if _, err := w.bw.Write(tr); err != nil {
-		w.closeOwned()
 		return nil, fmt.Errorf("runio: write run trailer: %w", err)
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.closeOwned()
 		return nil, fmt.Errorf("runio: flush run: %w", err)
 	}
-	if w.owned {
-		if err := w.f.Close(); err != nil {
-			return nil, fmt.Errorf("runio: close run: %w", err)
-		}
-	}
 	// FileBytes is the section's byte length (equal to the file size for
-	// owned single-section files).
+	// a single-section file).
 	w.info.FileBytes = trailerOff + int64(len(tr)) - w.base
 	info := w.info
 	return &info, nil
 }
 
-// Abort abandons the run without finalizing it: owned files are closed,
-// shared files are left to the caller (an aborted section leaves
-// partial bytes in the shared file, so the owning spiller must not
-// start another section in it). The caller is expected to remove the
-// temp directory the file lives in.
+// Abort abandons the run without finalizing it. An aborted section
+// leaves partial bytes in the file, so the owner must not start another
+// section in it; the caller is expected to remove the file.
 func (w *Writer) Abort() {
 	w.releaseBW()
-	w.closeOwned()
-}
-
-func (w *Writer) closeOwned() {
-	if w.owned && w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
 }
 
 // releaseBW detaches the pooled write buffer from this writer and

@@ -77,14 +77,27 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// createRun starts a single-section run file at path; the file is
+// closed when the test ends.
+func createRun(t *testing.T, path string, numPartitions, codeWidth int) *Writer {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	w, err := NewRunWriter(f, 0, numPartitions, codeWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 // writeTestRun writes records ("p<partition>-r<i>" payloads) into a run
 // with the given per-partition counts and returns the info.
 func writeTestRun(t *testing.T, path string, codeWidth int, counts []int) *Info {
 	t.Helper()
-	w, err := Create(path, len(counts), codeWidth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createRun(t, path, len(counts), codeWidth)
 	var c StringCodec
 	for p, n := range counts {
 		for i := 0; i < n; i++ {
@@ -193,10 +206,7 @@ func TestRunInfoCorrupt(t *testing.T) {
 }
 
 func TestWriterRejectsDescendingPartitions(t *testing.T) {
-	w, err := Create(filepath.Join(t.TempDir(), "desc.run"), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := createRun(t, filepath.Join(t.TempDir(), "desc.run"), 4, 0)
 	defer w.Abort()
 	if err := w.Append(2, []byte("x")); err != nil {
 		t.Fatal(err)
