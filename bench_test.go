@@ -492,9 +492,9 @@ func BenchmarkSchedule(b *testing.B) {
 
 // BenchmarkMatcherEndToEnd runs a real edit-distance matching pass over
 // a small catalog through the PairRange pipeline (the workload of the
-// cmd/ermatch tool), using the prepared comparison kernel the tool now
-// uses. BenchmarkMatcherEndToEndPlain keeps the pre-kernel per-pair
-// path alive so the win stays visible in one -bench run.
+// cmd/ermatch tool), using the prepared comparison kernel the tool
+// uses. BenchmarkMatcherEndToEndPlain runs a per-pair matcher through
+// the same loop so the kernel's win stays visible in one -bench run.
 func BenchmarkMatcherEndToEnd(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
@@ -514,9 +514,11 @@ func BenchmarkMatcherEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkMatcherEndToEndPlain is the same pipeline with the plain
+// BenchmarkMatcherEndToEndPlain is the same pipeline with a plain
 // per-pair matcher (re-deriving runes and DP state on every
-// comparison) — the baseline the prepared kernel is measured against.
+// comparison), run as core.Matcher — the baseline the prepared kernel
+// is measured against. The adapter's Prepare boxes each entity once
+// per reduce group.
 func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	es, _ := datagen.Generate(datagen.DS1Spec(0.005))
 	parts := entity.SplitRoundRobin(es, 4)
@@ -531,12 +533,12 @@ func BenchmarkMatcherEndToEndPlain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := er.RunPipeline(b.Context(), er.FromPartitions(parts), er.Config{
-			Strategy:   core.PairRange{},
-			Attr:       datagen.AttrTitle,
-			BlockKey:   blocking.NormalizedPrefix(3),
-			Matcher:    matcher,
-			R:          16,
-			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+			Strategy:        core.PairRange{},
+			Attr:            datagen.AttrTitle,
+			BlockKey:        blocking.NormalizedPrefix(3),
+			PreparedMatcher: core.Matcher(matcher),
+			R:               16,
+			RunOptions:      er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
 		}); err != nil {
 			b.Fatal(err)
 		}

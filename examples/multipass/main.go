@@ -22,21 +22,21 @@ import (
 func main() {
 	entities := catalog()
 
-	matcher := func(a, b entity.Entity) (float64, bool) {
+	matcher := core.Matcher(func(a, b entity.Entity) (float64, bool) {
 		sim := similarity.LevenshteinSimilarity(a.Attr("title"), b.Attr("title"))
 		return sim, sim >= 0.8
-	}
+	})
 
 	ctx := context.Background()
 	src := er.FromEntities(entities, 2)
 
 	// Single-pass baseline: title-prefix blocking only.
 	single, err := er.RunPipeline(ctx, src, er.Config{
-		Strategy: core.PairRange{},
-		Attr:     "title",
-		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher:  matcher,
-		R:        4,
+		Strategy:        core.PairRange{},
+		Attr:            "title",
+		BlockKey:        blocking.NormalizedPrefix(3),
+		PreparedMatcher: matcher,
+		R:               4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -48,10 +48,10 @@ func main() {
 		{Name: "suffix", Attr: "title", Key: blocking.Suffix(4)},
 	}
 	multi, err := multipass.RunPipeline(ctx, src, multipass.Config{
-		Passes:   passes,
-		Strategy: core.PairRange{},
-		Matcher:  matcher,
-		R:        4,
+		Passes:          passes,
+		Strategy:        core.PairRange{},
+		PreparedMatcher: matcher,
+		R:               4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -42,7 +42,6 @@ func main() {
 			Strategy:   strat,
 			Attr:       datagen.AttrBlock,
 			BlockKey:   blocking.Identity(),
-			Matcher:    nil, // count comparisons only
 			R:          r,
 		})
 		if err != nil {

@@ -103,10 +103,11 @@ func BenchmarkExtensionMultiPass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := multipass.RunPipeline(b.Context(), er.FromPartitions(parts), multipass.Config{
-			Passes:   passes,
-			Strategy: core.PairRange{},
-			R:        16,
-			ErConfig: er.Config{RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}}, UseCombiner: true},
+			RunOptions:  er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+			Passes:      passes,
+			Strategy:    core.PairRange{},
+			R:           16,
+			UseCombiner: true,
 		}); err != nil {
 			b.Fatal(err)
 		}

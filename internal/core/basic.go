@@ -23,12 +23,7 @@ func (Basic) Name() string { return "Basic" }
 // NeedsBDM implements Strategy: Basic runs without the preprocessing job.
 func (Basic) NeedsBDM() bool { return false }
 
-// Job implements Strategy. The BDM is ignored and may be nil.
-func (Basic) Job(_ *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return basicJob(r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedStrategy.
+// JobPrepared implements Strategy. The BDM is ignored and may be nil.
 func (Basic) JobPrepared(_ *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
 	return basicJob(r, preparedKernel(pm))
 }
@@ -68,36 +63,26 @@ type basicReducer struct {
 	prep   []PreparedEntity
 }
 
-// Reduce compares all entities of one block with each other. The buffer
-// of already-seen entities is what forces a reduce task to hold an entire
-// block in memory — the paper's memory-bottleneck argument against Basic.
 func (b *basicReducer) Configure(_, _, _ int) {}
 
+// Reduce compares all entities of one block with each other, deriving
+// each entity's comparison form once per group. The buffer of
+// already-seen entities is what forces a reduce task to hold an entire
+// block in memory — the paper's memory-bottleneck argument against
+// Basic.
 func (b *basicReducer) Reduce(ctx *matchCtx, _ string, values []mapreduce.Rec[string, entity.Entity]) {
-	if pm := b.kern.pm; pm != nil {
-		// Prepared path: derive each entity's comparison form once per
-		// group, compare cached forms pairwise.
-		b.buffer, b.prep = b.buffer[:0], b.prep[:0]
-		for _, v := range values {
-			e2 := v.Value
-			p2 := pm.Prepare(e2)
-			for i, e1 := range b.buffer {
-				matchAndEmitPrepared(ctx, pm, e1, e2, b.prep[i], p2)
-			}
-			b.buffer = append(b.buffer, e2)
-			b.prep = append(b.prep, p2)
-		}
-		b.kern.releaseAll(b.prep)
-		return
-	}
-	b.buffer = b.buffer[:0]
+	pm := b.kern.pm
+	b.buffer, b.prep = b.buffer[:0], b.prep[:0]
 	for _, v := range values {
 		e2 := v.Value
-		for _, e1 := range b.buffer {
-			matchAndEmit(ctx, b.kern.match, e1, e2)
+		p2 := pm.Prepare(e2)
+		for i, e1 := range b.buffer {
+			matchAndEmitPrepared(ctx, pm, e1, e2, b.prep[i], p2)
 		}
 		b.buffer = append(b.buffer, e2)
+		b.prep = append(b.prep, p2)
 	}
+	b.kern.releaseAll(b.prep)
 }
 
 // Plan implements Strategy: per-reduce-task comparisons follow from

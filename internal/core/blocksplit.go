@@ -289,23 +289,13 @@ func bsKeyCoding(x *bdm.Matrix) mapreduce.KeyCoding[BSKey] {
 	}
 }
 
-// Job implements Strategy (Algorithm 1). Input records must be the BDM
-// job's side output (blocking-key-annotated entities).
-func (bs BlockSplit) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{match: match}, nil, bs.MaxEntitiesPerTask)
-}
-
-// JobPrepared implements PreparedStrategy.
+// JobPrepared implements Strategy (Algorithm 1). Input records must be
+// the BDM job's side output (blocking-key-annotated entities).
 func (bs BlockSplit) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
-	return blockSplitJob(x, r, preparedKernel(pm), nil, bs.MaxEntitiesPerTask)
+	return blockSplitJob(x, r, preparedKernel(pm), bs.MaxEntitiesPerTask)
 }
 
-// JobWithAssign is Job with a custom assignment policy (for ablations).
-func (bs BlockSplit) JobWithAssign(x *bdm.Matrix, r int, match Matcher, assign AssignFunc) (MatchJob, error) {
-	return blockSplitJob(x, r, matchKernel{match: match}, assign, bs.MaxEntitiesPerTask)
-}
-
-func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, maxEntities int) (MatchJob, error) {
+func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, maxEntities int) (MatchJob, error) {
 	if err := validateJobParams("BlockSplit", r); err != nil {
 		return nil, err
 	}
@@ -315,7 +305,7 @@ func blockSplitJob(x *bdm.Matrix, r int, kern matchKernel, assign AssignFunc, ma
 	// The assignment is deterministic and identical in every map task;
 	// compute it once and share it read-only (each Hadoop map task would
 	// recompute it from the distributed BDM file).
-	asg := buildAssignment(x, r, assign, maxEntities)
+	asg := buildAssignment(x, r, nil, maxEntities)
 	return &mapreduce.Job[AnnotatedEntity, BSKey, bsValue, MatchOutput]{
 		Name:           "blocksplit",
 		NumReduceTasks: r,
@@ -392,40 +382,11 @@ func (rd *bsReducer) Configure(_, _, _ int) {}
 // (unsplit block or single sub-block, I == J) it compares all values
 // pairwise. For a cross-product task it buffers the first partition's
 // entities (the stable map-task-ordered merge guarantees they arrive
-// first) and compares every later entity against the buffer. With a
-// prepared matcher, every buffered entity is prepared exactly once; in a
-// cross-product task the non-buffered side's entity is prepared once and
-// compared against the whole buffer.
+// first) and compares every later entity against the buffer. Every
+// buffered entity is prepared exactly once; in a cross-product task the
+// non-buffered side's entity is prepared once and compared against the
+// whole buffer.
 func (rd *bsReducer) Reduce(ctx *matchCtx, k BSKey, values []mapreduce.Rec[BSKey, bsValue]) {
-	if rd.kern.pm != nil {
-		rd.reducePrepared(ctx, k, values)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
-	if k.I == k.J {
-		for _, v := range values {
-			e2 := v.Value.E
-			for _, e1 := range rd.buffer {
-				matchAndEmit(ctx, rd.kern.match, e1, e2)
-			}
-			rd.buffer = append(rd.buffer, e2)
-		}
-		return
-	}
-	firstPartition := values[0].Value.Partition
-	for _, v := range values {
-		bv := v.Value
-		if bv.Partition == firstPartition {
-			rd.buffer = append(rd.buffer, bv.E)
-			continue
-		}
-		for _, e1 := range rd.buffer {
-			matchAndEmit(ctx, rd.kern.match, e1, bv.E)
-		}
-	}
-}
-
-func (rd *bsReducer) reducePrepared(ctx *matchCtx, k BSKey, values []mapreduce.Rec[BSKey, bsValue]) {
 	pm := rd.kern.pm
 	rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
 	if k.I == k.J {

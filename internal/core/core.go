@@ -18,6 +18,12 @@
 // experiments (Figures 13/14) tractable on one machine; tests assert that
 // executed workloads and planned workloads agree exactly.
 //
+// Every job runs one comparison loop per reducer over a PreparedMatcher:
+// each entity is prepared once per reduce group and the O(group²) pairs
+// compare prepared forms. A plain Matcher function is a PreparedMatcher
+// whose prepared form is the entity, and a nil matcher counts
+// comparisons only.
+//
 // Two-source variants (Appendix I) are provided as BlockSplitDual and
 // PairRangeDual.
 package core
@@ -33,12 +39,42 @@ import (
 )
 
 // Matcher compares two entities and reports their similarity and whether
-// they match. A nil Matcher is valid everywhere and means "count the
-// comparison but do not compare" — used by benchmarks that only measure
-// redistribution behaviour. Matchers are invoked from concurrently
-// executing reduce tasks and must be safe for concurrent use (pure
-// functions, the common case, trivially are).
+// they match. Matchers are invoked from concurrently executing reduce
+// tasks and must be safe for concurrent use (pure functions, the common
+// case, trivially are).
+//
+// A Matcher is also a PreparedMatcher whose prepared form is the entity
+// itself, so a plain function runs through the same comparison loop as
+// a prepared kernel: core.Matcher(f) wherever a PreparedMatcher is
+// expected. A nil Matcher counts comparisons without comparing — used
+// by benchmarks that only measure redistribution behaviour.
 type Matcher func(a, b entity.Entity) (float64, bool)
+
+// Prepare implements PreparedMatcher: the prepared form of an entity is
+// the entity. A nil Matcher returns nil without allocating.
+func (m Matcher) Prepare(e entity.Entity) PreparedEntity {
+	if m == nil {
+		return nil
+	}
+	return e
+}
+
+// MatchPrepared implements PreparedMatcher. A nil Matcher never matches.
+func (m Matcher) MatchPrepared(a, b PreparedEntity) (float64, bool) {
+	if m == nil {
+		return 0, false
+	}
+	return m(a.(entity.Entity), b.(entity.Entity))
+}
+
+// OrCountOnly returns pm, or the nil Matcher when pm is nil: the form a
+// comparison loop runs, so no loop needs a nil branch.
+func OrCountOnly(pm PreparedMatcher) PreparedMatcher {
+	if pm == nil {
+		return Matcher(nil)
+	}
+	return pm
+}
 
 // PreparedEntity is the opaque prepared form of one entity: whatever a
 // PreparedMatcher derives once per entity (cached runes, token sets,
@@ -46,11 +82,11 @@ type Matcher func(a, b entity.Entity) (float64, bool)
 // call runs on precomputed forms.
 type PreparedEntity any
 
-// PreparedMatcher is the two-phase form of Matcher. The reducers of all
-// strategies prepare each entity exactly once per key group — O(group)
-// preparation instead of re-deriving both sides on every one of the
-// O(group²) comparisons — and invoke MatchPrepared on the cached forms.
-// Prepare is called from a single goroutine per reduce group; the
+// PreparedMatcher is the two-phase matcher every job runs. The reducers
+// of all strategies prepare each entity exactly once per key group —
+// O(group) preparation instead of re-deriving both sides on every one of
+// the O(group²) comparisons — and invoke MatchPrepared on the cached
+// forms. Prepare is called from a single goroutine per reduce group; the
 // returned PreparedEntity is never shared across groups. MatchPrepared
 // must be safe for concurrent use across groups (pure functions are).
 //
@@ -75,10 +111,9 @@ type PreparedReleaser interface {
 }
 
 // PlainMatcher adapts a PreparedMatcher to the plain Matcher form by
-// preparing both entities on every call. It is the transparent fallback
-// for execution paths that only accept a Matcher (custom strategies,
-// sorted neighborhood, serial references); results are identical, only
-// the per-pair preparation cost returns.
+// preparing both entities on every call. The serial references take a
+// plain Matcher; results are identical, only the per-pair preparation
+// cost returns.
 func PlainMatcher(pm PreparedMatcher) Matcher {
 	rel, _ := pm.(PreparedReleaser)
 	return func(a, b entity.Entity) (float64, bool) {
@@ -92,21 +127,19 @@ func PlainMatcher(pm PreparedMatcher) Matcher {
 	}
 }
 
-// matchKernel carries whichever matcher form a job was built with. At
-// most one of match/pm is set; both nil means "count comparisons
-// without comparing" (the nil-Matcher contract). rel is pm's optional
+// matchKernel is the matcher a strategy reducer runs, with its optional
 // release hook.
 type matchKernel struct {
-	match Matcher
-	pm    PreparedMatcher
-	rel   PreparedReleaser
+	pm  PreparedMatcher
+	rel PreparedReleaser
 }
 
-// preparedKernel builds the kernel for a prepared matcher, wiring the
-// release hook when the matcher provides one.
+// preparedKernel builds the kernel for a prepared matcher (nil counts
+// comparisons only), wiring the release hook when the matcher provides
+// one.
 func preparedKernel(pm PreparedMatcher) matchKernel {
-	k := matchKernel{pm: pm}
-	if r, ok := pm.(PreparedReleaser); ok {
+	k := matchKernel{pm: OrCountOnly(pm)}
+	if r, ok := k.pm.(PreparedReleaser); ok {
 		k.rel = r
 	}
 	return k
@@ -198,39 +231,31 @@ type Strategy interface {
 	// distribution matrix (true for BlockSplit and PairRange; Basic runs
 	// as a single job without the preprocessing step).
 	NeedsBDM() bool
-	// Job builds the executable MR Job 2. Input records must be the BDM
-	// job's side output (blocking-key-annotated entities). x may be nil
-	// iff !NeedsBDM().
-	Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error)
-	// Plan computes the exact per-task workloads Job would produce for m
-	// input partitions and r reduce tasks, without executing anything.
+	// JobPrepared builds the executable MR Job 2 with pm driving the
+	// reduce phase's comparison loop (nil counts comparisons only; a
+	// plain function runs as core.Matcher(f)). Input records must be
+	// the BDM job's side output (blocking-key-annotated entities). x may
+	// be nil iff !NeedsBDM().
+	JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error)
+	// Plan computes the exact per-task workloads JobPrepared would
+	// produce for m input partitions and r reduce tasks, without
+	// executing anything.
 	Plan(x *bdm.Matrix, m, r int) (*Plan, error)
 }
 
-// PreparedStrategy is implemented by strategies whose matching job can
-// exploit a PreparedMatcher (all in-tree one-source strategies). The
-// job's dataflow and comparison order are identical to Job's; only the
-// per-pair cost changes.
-type PreparedStrategy interface {
-	Strategy
-	// JobPrepared is Job with a prepared matcher driving the reduce
-	// phase. pm may be nil (count comparisons only).
-	JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error)
-}
+// PreparedStrategy is Strategy under the name the benchmark module
+// (perfbench/, a separate module pinned to this API) still uses; new
+// code names Strategy.
+type PreparedStrategy = Strategy
 
 // DualStrategy is a two-source (R×S) redistribution strategy from
 // Appendix I. Implementations: BlockSplitDual, PairRangeDual.
 type DualStrategy interface {
 	Name() string
-	Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, error)
-	Plan(x *bdm.DualMatrix, r int) (*Plan, error)
-}
-
-// PreparedDualStrategy is the two-source analogue of PreparedStrategy
-// (implemented by BlockSplitDual and PairRangeDual).
-type PreparedDualStrategy interface {
-	DualStrategy
+	// JobPrepared builds the matching job; pm is as for
+	// Strategy.JobPrepared.
 	JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error)
+	Plan(x *bdm.DualMatrix, r int) (*Plan, error)
 }
 
 // Plan holds the exact per-task workloads a strategy's Job 2 produces.
@@ -304,19 +329,8 @@ func newPlan(strategy string, m, r int) *Plan {
 	}
 }
 
-// matchAndEmit performs one comparison via the matcher and emits the
-// canonical pair on success. A nil matcher counts only.
-func matchAndEmit(ctx *matchCtx, match Matcher, a, b entity.Entity) {
-	ctx.Inc(ComparisonsCounter, 1)
-	if match == nil {
-		return
-	}
-	if sim, ok := match(a, b); ok {
-		ctx.Emit(MatchOutput{Key: NewMatchPair(a.ID, b.ID), Value: sim})
-	}
-}
-
-// matchAndEmitPrepared is matchAndEmit on already-prepared forms.
+// matchAndEmitPrepared performs one comparison on already-prepared
+// forms and emits the canonical pair on success.
 func matchAndEmitPrepared(ctx *matchCtx, pm PreparedMatcher, a, b entity.Entity, pa, pb PreparedEntity) {
 	ctx.Inc(ComparisonsCounter, 1)
 	if sim, ok := pm.MatchPrepared(pa, pb); ok {

@@ -180,14 +180,9 @@ func bsdKeyCoding(x *bdm.DualMatrix) mapreduce.KeyCoding[BSDKey] {
 	}
 }
 
-// Job implements DualStrategy. Input records must be blocking-key-
-// annotated entities; each input partition holds entities of exactly
-// one source as recorded in the DualMatrix.
-func (BlockSplitDual) Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, error) {
-	return blockSplitDualJob(x, r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedDualStrategy.
+// JobPrepared implements DualStrategy. Input records must be
+// blocking-key-annotated entities; each input partition holds entities
+// of exactly one source as recorded in the DualMatrix.
 func (BlockSplitDual) JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error) {
 	return blockSplitDualJob(x, r, preparedKernel(pm))
 }
@@ -275,39 +270,25 @@ func (rd *bsdReducer) Configure(_, _, _ int) {}
 
 // Reduce buffers all R entities (sorted first via the Source key
 // component) and compares each S entity against the buffer — only
-// cross-source pairs are evaluated. With a prepared matcher, each R
-// entity is prepared once while buffering and each S entity once before
-// its scan of the buffer.
+// cross-source pairs are evaluated. Each R entity is prepared once while
+// buffering and each S entity once before its scan of the buffer.
 func (rd *bsdReducer) Reduce(ctx *matchCtx, _ BSDKey, values []mapreduce.Rec[BSDKey, entity.Entity]) {
-	if pm := rd.kern.pm; pm != nil {
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			e := v.Value
-			if v.Key.Source == bdm.SourceR {
-				rd.buffer = append(rd.buffer, e)
-				rd.prep = append(rd.prep, pm.Prepare(e))
-				continue
-			}
-			p2 := pm.Prepare(e)
-			for i, e1 := range rd.buffer {
-				matchAndEmitPrepared(ctx, pm, e1, e, rd.prep[i], p2)
-			}
-			rd.kern.release(p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
+	pm := rd.kern.pm
+	rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
 	for _, v := range values {
 		e := v.Value
 		if v.Key.Source == bdm.SourceR {
 			rd.buffer = append(rd.buffer, e)
+			rd.prep = append(rd.prep, pm.Prepare(e))
 			continue
 		}
-		for _, e1 := range rd.buffer {
-			matchAndEmit(ctx, rd.kern.match, e1, e)
+		p2 := pm.Prepare(e)
+		for i, e1 := range rd.buffer {
+			matchAndEmitPrepared(ctx, pm, e1, e, rd.prep[i], p2)
 		}
+		rd.kern.release(p2)
 	}
+	rd.kern.releaseAll(rd.prep)
 }
 
 // Plan implements DualStrategy analytically.

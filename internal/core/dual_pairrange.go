@@ -117,13 +117,8 @@ func dualRelevantRanges(x *bdm.DualMatrix, ranges Ranges, k int, src bdm.Source,
 	return out
 }
 
-// Job implements DualStrategy. Input records must be blocking-key-
-// annotated entities, one source per input partition.
-func (PairRangeDual) Job(x *bdm.DualMatrix, r int, match Matcher) (MatchJob, error) {
-	return pairRangeDualJob(x, r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedDualStrategy.
+// JobPrepared implements DualStrategy. Input records must be
+// blocking-key-annotated entities, one source per input partition.
 func (PairRangeDual) JobPrepared(x *bdm.DualMatrix, r int, pm PreparedMatcher) (MatchJob, error) {
 	return pairRangeDualJob(x, r, preparedKernel(pm))
 }
@@ -200,55 +195,36 @@ func (rd *prdReducer) Configure(_, _, taskIndex int) { rd.task = taskIndex }
 // Reduce receives one (range, block) group with all relevant R entities
 // (ascending index) followed by all relevant S entities. For each S
 // entity it scans the R buffer; pair indexes grow with the R index, so
-// the scan stops once the range is exceeded. With a prepared matcher,
-// every entity is prepared exactly once per group.
+// the scan stops once the range is exceeded. Every entity is prepared
+// exactly once per group.
 func (rd *prdReducer) Reduce(ctx *matchCtx, k PRDKey, values []mapreduce.Rec[PRDKey, entity.Entity]) {
 	ns := int64(rd.x.SourceSize(k.Block, bdm.SourceS))
 	off := rd.x.PairOffset(k.Block)
 	// Direct bound comparisons replace the per-pair Ranges.Index
 	// division; see prReducer.Reduce for the equivalence argument.
 	lo, hi := rd.ranges.Bounds(rd.task)
-	if pm := rd.kern.pm; pm != nil {
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			pv := prdValue{E: v.Value, Index: v.Key.Index}
-			if v.Key.Source == bdm.SourceR {
-				rd.buffer = append(rd.buffer, pv)
-				rd.prep = append(rd.prep, pm.Prepare(pv.E))
-				continue
-			}
-			p2 := pm.Prepare(pv.E)
-			for i, b := range rd.buffer {
-				p := off + b.Index*ns + pv.Index
-				if p >= hi {
-					break
-				}
-				if p >= lo {
-					matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
-				}
-			}
-			rd.kern.release(p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
-	}
-	rd.buffer = rd.buffer[:0]
+	pm := rd.kern.pm
+	rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
 	for _, v := range values {
 		pv := prdValue{E: v.Value, Index: v.Key.Index}
 		if v.Key.Source == bdm.SourceR {
 			rd.buffer = append(rd.buffer, pv)
+			rd.prep = append(rd.prep, pm.Prepare(pv.E))
 			continue
 		}
-		for _, b := range rd.buffer {
+		p2 := pm.Prepare(pv.E)
+		for i, b := range rd.buffer {
 			p := off + b.Index*ns + pv.Index
 			if p >= hi {
 				break
 			}
 			if p >= lo {
-				matchAndEmit(ctx, rd.kern.match, b.E, pv.E)
+				matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
 			}
 		}
+		rd.kern.release(p2)
 	}
+	rd.kern.releaseAll(rd.prep)
 }
 
 // Plan implements DualStrategy analytically: for each range and each

@@ -96,9 +96,9 @@ func expectedDualPairs(parts entity.Partitions, sources []bdm.Source) map[MatchP
 
 func runDualStrategy(t *testing.T, strat DualStrategy, x *bdm.DualMatrix, parts entity.Partitions, r int, match Matcher) *MatchJobResult {
 	t.Helper()
-	job, err := strat.Job(x, r, match)
+	job, err := strat.JobPrepared(x, r, match)
 	if err != nil {
-		t.Fatalf("%s.Job: %v", strat.Name(), err)
+		t.Fatalf("%s.JobPrepared: %v", strat.Name(), err)
 	}
 	res, err := job.RunContext(t.Context(), &mapreduce.Engine{}, annotatedInput(parts, exAttr))
 	if err != nil {
@@ -242,11 +242,11 @@ func TestDualPairRangeBalanceBound(t *testing.T) {
 func TestDualRejectsBadParams(t *testing.T) {
 	x := dualExampleBDM(t)
 	for _, strat := range []DualStrategy{BlockSplitDual{}, PairRangeDual{}} {
-		if _, err := strat.Job(x, 0, nil); err == nil {
-			t.Errorf("%s.Job(r=0) succeeded", strat.Name())
+		if _, err := strat.JobPrepared(x, 0, nil); err == nil {
+			t.Errorf("%s.JobPrepared(r=0) succeeded", strat.Name())
 		}
-		if _, err := strat.Job(nil, 3, nil); err == nil {
-			t.Errorf("%s.Job(nil) succeeded", strat.Name())
+		if _, err := strat.JobPrepared(nil, 3, nil); err == nil {
+			t.Errorf("%s.JobPrepared(nil) succeeded", strat.Name())
 		}
 		if _, err := strat.Plan(nil, 3); err == nil {
 			t.Errorf("%s.Plan(nil) succeeded", strat.Name())

@@ -147,7 +147,7 @@ func TestPaperExampleBlockSplitAssignment(t *testing.T) {
 
 func TestPaperExampleBlockSplitExecution(t *testing.T) {
 	x := exampleBDM(t)
-	job, err := BlockSplit{}.Job(x, 3, nil)
+	job, err := BlockSplit{}.JobPrepared(x, 3, nil)
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestPaperExamplePairRangeEnumeration(t *testing.T) {
 
 func TestPaperExamplePairRangeExecution(t *testing.T) {
 	x := exampleBDM(t)
-	job, err := PairRange{}.Job(x, 3, nil)
+	job, err := PairRange{}.JobPrepared(x, 3, nil)
 	if err != nil {
 		t.Fatalf("Job: %v", err)
 	}

@@ -82,13 +82,8 @@ func prKeyCoding(x *bdm.Matrix, r int) mapreduce.KeyCoding[PRKey] {
 	}
 }
 
-// Job implements Strategy (Algorithm 2). Input records must be the BDM
-// job's side output (blocking-key-annotated entities).
-func (PairRange) Job(x *bdm.Matrix, r int, match Matcher) (MatchJob, error) {
-	return pairRangeJob(x, r, matchKernel{match: match})
-}
-
-// JobPrepared implements PreparedStrategy.
+// JobPrepared implements Strategy (Algorithm 2). Input records must be
+// the BDM job's side output (blocking-key-annotated entities).
 func (PairRange) JobPrepared(x *bdm.Matrix, r int, pm PreparedMatcher) (MatchJob, error) {
 	return pairRangeJob(x, r, preparedKernel(pm))
 }
@@ -193,33 +188,15 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 	if cap(rd.buffer) < len(values) {
 		rd.buffer = make([]prValue, 0, len(values))
 	}
-	if pm := rd.kern.pm; pm != nil {
-		if cap(rd.prep) < len(values) {
-			rd.prep = make([]PreparedEntity, 0, len(values))
-		}
-		rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
-		for _, v := range values {
-			pv := prValue{E: v.Value, Index: v.Key.Index}
-			p2 := pm.Prepare(pv.E)
-			for i, b := range rd.buffer {
-				p := CellIndex(b.Index, pv.Index, n) + off
-				if p >= hi {
-					break
-				}
-				if p >= lo {
-					matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
-				}
-			}
-			rd.buffer = append(rd.buffer, pv)
-			rd.prep = append(rd.prep, p2)
-		}
-		rd.kern.releaseAll(rd.prep)
-		return
+	if cap(rd.prep) < len(values) {
+		rd.prep = make([]PreparedEntity, 0, len(values))
 	}
-	rd.buffer = rd.buffer[:0]
+	pm := rd.kern.pm
+	rd.buffer, rd.prep = rd.buffer[:0], rd.prep[:0]
 	for _, v := range values {
 		pv := prValue{E: v.Value, Index: v.Key.Index}
-		for _, b := range rd.buffer {
+		p2 := pm.Prepare(pv.E)
+		for i, b := range rd.buffer {
 			p := CellIndex(b.Index, pv.Index, n) + off
 			if p >= hi {
 				// Within this row (fixed pv.Index), pair indexes grow
@@ -228,11 +205,13 @@ func (rd *prReducer) Reduce(ctx *matchCtx, k PRKey, values []mapreduce.Rec[PRKey
 				break
 			}
 			if p >= lo {
-				matchAndEmit(ctx, rd.kern.match, b.E, pv.E)
+				matchAndEmitPrepared(ctx, pm, b.E, pv.E, rd.prep[i], p2)
 			}
 		}
 		rd.buffer = append(rd.buffer, pv)
+		rd.prep = append(rd.prep, p2)
 	}
+	rd.kern.releaseAll(rd.prep)
 }
 
 // Plan implements Strategy. All quantities are exact and computed in

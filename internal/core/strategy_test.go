@@ -209,8 +209,8 @@ func TestStrategyRejectsBadParams(t *testing.T) {
 	parts := entity.Partitions{{entity.New("a", "k", "x")}}
 	x := mustBDM(t, parts)
 	for _, strat := range []Strategy{Basic{}, BlockSplit{}, PairRange{}} {
-		if _, err := strat.Job(x, 0, nil); err == nil {
-			t.Errorf("%s.Job(r=0) succeeded, want error", strat.Name())
+		if _, err := strat.JobPrepared(x, 0, nil); err == nil {
+			t.Errorf("%s.JobPrepared(r=0) succeeded, want error", strat.Name())
 		}
 		if _, err := strat.Plan(x, 0, 3); err == nil {
 			t.Errorf("%s.Plan(m=0) succeeded, want error", strat.Name())
@@ -220,8 +220,8 @@ func TestStrategyRejectsBadParams(t *testing.T) {
 		}
 	}
 	for _, strat := range []Strategy{BlockSplit{}, PairRange{}} {
-		if _, err := strat.Job(nil, 3, nil); err == nil {
-			t.Errorf("%s.Job(nil BDM) succeeded, want error", strat.Name())
+		if _, err := strat.JobPrepared(nil, 3, nil); err == nil {
+			t.Errorf("%s.JobPrepared(nil BDM) succeeded, want error", strat.Name())
 		}
 	}
 }

@@ -21,9 +21,9 @@ func assertPlanMatchesExecution(t *testing.T, strat Strategy, x *bdm.Matrix, par
 	if err != nil {
 		t.Fatalf("%s.Plan: %v", strat.Name(), err)
 	}
-	job, err := strat.Job(x, r, nil)
+	job, err := strat.JobPrepared(x, r, nil)
 	if err != nil {
-		t.Fatalf("%s.Job: %v", strat.Name(), err)
+		t.Fatalf("%s.JobPrepared: %v", strat.Name(), err)
 	}
 	res, err := job.RunContext(t.Context(), &mapreduce.Engine{}, annotatedInput(parts, attr))
 	if err != nil {
@@ -97,9 +97,9 @@ func annotatedInput(parts entity.Partitions, attr string) [][]AnnotatedEntity {
 // returns the result.
 func runStrategy(t *testing.T, strat Strategy, x *bdm.Matrix, parts entity.Partitions, r int, match Matcher) *MatchJobResult {
 	t.Helper()
-	job, err := strat.Job(x, r, match)
+	job, err := strat.JobPrepared(x, r, match)
 	if err != nil {
-		t.Fatalf("%s.Job: %v", strat.Name(), err)
+		t.Fatalf("%s.JobPrepared: %v", strat.Name(), err)
 	}
 	res, err := job.RunContext(t.Context(), &mapreduce.Engine{}, annotatedInput(parts, "k"))
 	if err != nil {

@@ -120,11 +120,11 @@ func TestClustersFromPipeline(t *testing.T) {
 	// into clusters containing their bases.
 	es := smallDataset()
 	res, err := RunPipeline(t.Context(), FromPartitions(entity.Partitions{es[:3], es[3:]}), Config{
-		Strategy: core.PairRange{},
-		Attr:     "title",
-		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher:  titleMatcher(0.8),
-		R:        3,
+		Strategy:        core.PairRange{},
+		Attr:            "title",
+		BlockKey:        blocking.NormalizedPrefix(3),
+		PreparedMatcher: titleMatcher(0.8),
+		R:               3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,14 @@ import (
 )
 
 // Distributed execution of the two-job workflow. A pipeline Config
-// cannot cross a process boundary (it carries function values:
-// BlockKey, Matcher), so the distributed entry point takes DistParams —
-// a declarative job description both the driver and the worker binary
-// expand into the *same* Config — and ships it to workers as the job
-// spec, together with the serialized BDM for Job 2. The worker-side
-// builders registered here (er/bdm, er/match) are what cmd/erworker
-// executes; any process that imports this package can serve er jobs.
+// cannot cross a process boundary (it carries function and interface
+// values: BlockKey, PreparedMatcher), so the distributed entry point
+// takes DistParams — a declarative job description both the driver and
+// the worker binary expand into the *same* Config — and ships it to
+// workers as the job spec, together with the serialized BDM for Job 2.
+// The worker-side builders registered here (er/bdm, er/match) are what
+// cmd/erworker executes; any process that imports this package can
+// serve er jobs.
 
 // DistParams describes a distributable pipeline run declaratively.
 type DistParams struct {
@@ -165,7 +166,7 @@ func RunDistributedPipeline(ctx context.Context, src Source, p DistParams, opts 
 	if err != nil {
 		return nil, err
 	}
-	job, err := buildMatchJob(cfg, res.BDM)
+	job, err := cfg.Strategy.JobPrepared(res.BDM, cfg.R, cfg.PreparedMatcher)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +217,7 @@ func init() {
 				return nil, fmt.Errorf("er/match spec BDM: %w", err)
 			}
 		}
-		job, err := buildMatchJob(cfg, matrix)
+		job, err := cfg.Strategy.JobPrepared(matrix, cfg.R, cfg.PreparedMatcher)
 		if err != nil {
 			return nil, err
 		}

@@ -18,9 +18,7 @@ type DualConfig struct {
 	Strategy core.DualStrategy
 	Attr     string
 	BlockKey blocking.KeyFunc
-	Matcher  core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher; see
-	// Config.PreparedMatcher.
+	// PreparedMatcher is as for Config.PreparedMatcher.
 	PreparedMatcher core.PreparedMatcher
 	R               int
 }
@@ -43,18 +41,6 @@ type DualResult struct {
 	Comparisons int64
 	BDM         *bdm.DualMatrix
 	MatchResult *core.MatchJobResult
-}
-
-// buildDualMatchJob selects the dual matching job's matcher path (the
-// two-source analogue of buildMatchJob).
-func buildDualMatchJob(cfg DualConfig, x *bdm.DualMatrix) (core.MatchJob, error) {
-	if cfg.PreparedMatcher != nil {
-		if ps, ok := cfg.Strategy.(core.PreparedDualStrategy); ok {
-			return ps.JobPrepared(x, cfg.R, cfg.PreparedMatcher)
-		}
-		return cfg.Strategy.Job(x, cfg.R, core.PlainMatcher(cfg.PreparedMatcher))
-	}
-	return cfg.Strategy.Job(x, cfg.R, cfg.Matcher)
 }
 
 // SerialMatchDual is the two-source reference: compare every R entity

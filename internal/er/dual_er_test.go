@@ -17,11 +17,11 @@ func TestRunDualAgainstSerial(t *testing.T) {
 	for _, strat := range []core.DualStrategy{core.BlockSplitDual{}, core.PairRangeDual{}} {
 		res, err := RunDualPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(r, 2)), FromPartitions(entity.SplitRoundRobin(s, 2)),
 			DualConfig{
-				Strategy: strat,
-				Attr:     datagen.AttrTitle,
-				BlockKey: datagen.BlockKey(),
-				Matcher:  titleMatcher(0.85),
-				R:        5,
+				Strategy:        strat,
+				Attr:            datagen.AttrTitle,
+				BlockKey:        datagen.BlockKey(),
+				PreparedMatcher: titleMatcher(0.85),
+				R:               5,
 			})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)

@@ -39,15 +39,10 @@ type Config struct {
 	Attr string
 	// BlockKey derives the blocking key from the attribute value.
 	BlockKey blocking.KeyFunc
-	// Matcher decides whether two entities match. nil counts
-	// comparisons without comparing.
-	Matcher core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher and
-	// drives the prepare-once comparison kernel: strategies implementing
-	// core.PreparedStrategy (all in-tree ones) prepare each entity once
-	// per reduce group; any other strategy falls back transparently to
-	// the plain path via core.PlainMatcher. Results are identical either
-	// way.
+	// PreparedMatcher drives the matching job's comparison loop: every
+	// strategy prepares each entity once per reduce group. A plain
+	// function runs as core.Matcher(f); nil counts comparisons without
+	// comparing.
 	PreparedMatcher core.PreparedMatcher
 	// R is the number of reduce tasks of the matching job (and of the
 	// BDM job).
@@ -106,20 +101,6 @@ func (r *Result) SimulatedTime(cfg cluster.Config, cm cluster.CostModel) (float6
 		total += jr.Time
 	}
 	return total, nil
-}
-
-// buildMatchJob selects the matching job's matcher path: the prepared
-// kernel when the config carries a PreparedMatcher and the strategy
-// supports it, the plain-Matcher adapter when it does not, and the plain
-// path otherwise.
-func buildMatchJob(cfg Config, x *bdm.Matrix) (core.MatchJob, error) {
-	if cfg.PreparedMatcher != nil {
-		if ps, ok := cfg.Strategy.(core.PreparedStrategy); ok {
-			return ps.JobPrepared(x, cfg.R, cfg.PreparedMatcher)
-		}
-		return cfg.Strategy.Job(x, cfg.R, core.PlainMatcher(cfg.PreparedMatcher))
-	}
-	return cfg.Strategy.Job(x, cfg.R, cfg.Matcher)
 }
 
 // AnnotateInput converts raw partitions into the blocking-key-annotated

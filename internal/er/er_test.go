@@ -42,11 +42,11 @@ func TestRunAllStrategiesAgree(t *testing.T) {
 	for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 		for _, m := range []int{1, 2, 3} {
 			res, err := RunPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, m)), Config{
-				Strategy: strat,
-				Attr:     "title",
-				BlockKey: blocking.NormalizedPrefix(3),
-				Matcher:  titleMatcher(0.8),
-				R:        4,
+				Strategy:        strat,
+				Attr:            "title",
+				BlockKey:        blocking.NormalizedPrefix(3),
+				PreparedMatcher: titleMatcher(0.8),
+				R:               4,
 			})
 			if err != nil {
 				t.Fatalf("%s m=%d: %v", strat.Name(), m, err)
@@ -74,12 +74,12 @@ func TestRunAgainstSerialFuzz(t *testing.T) {
 		want, _ := SerialMatch(es, datagen.AttrTitle, datagen.BlockKey(), titleMatcher(0.85))
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 			res, err := RunPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, rng.Intn(4)+1)), Config{
-				Strategy:   strat,
-				Attr:       datagen.AttrTitle,
-				BlockKey:   datagen.BlockKey(),
-				Matcher:    titleMatcher(0.85),
-				R:          rng.Intn(8) + 1,
-				RunOptions: RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+				Strategy:        strat,
+				Attr:            datagen.AttrTitle,
+				BlockKey:        datagen.BlockKey(),
+				PreparedMatcher: titleMatcher(0.85),
+				R:               rng.Intn(8) + 1,
+				RunOptions:      RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
 			})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, strat.Name(), err)

@@ -28,12 +28,12 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 		return s, s >= 0.85
 	}
 	base := er.Config{
-		Strategy:    core.BlockSplit{},
-		Attr:        "title",
-		BlockKey:    blocking.NormalizedPrefix(3),
-		Matcher:     matcher,
-		R:           4,
-		UseCombiner: true,
+		Strategy:        core.BlockSplit{},
+		Attr:            "title",
+		BlockKey:        blocking.NormalizedPrefix(3),
+		PreparedMatcher: core.Matcher(matcher),
+		R:               4,
+		UseCombiner:     true,
 	}
 	mem, err := er.RunPipeline(t.Context(), er.FromPartitions(parts), base)
 	if err != nil {
@@ -64,22 +64,22 @@ func TestConfigSpillBudgetRunsExternal(t *testing.T) {
 
 	// Dual plumbing.
 	dmem, err := er.RunDualPipeline(t.Context(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
-		Strategy: core.PairRangeDual{},
-		Attr:     "title",
-		BlockKey: blocking.NormalizedPrefix(3),
-		Matcher:  matcher,
-		R:        4,
+		Strategy:        core.PairRangeDual{},
+		Attr:            "title",
+		BlockKey:        blocking.NormalizedPrefix(3),
+		PreparedMatcher: core.Matcher(matcher),
+		R:               4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dext, err := er.RunDualPipeline(t.Context(), er.FromPartitions(parts[:2]), er.FromPartitions(parts[2:]), er.DualConfig{
-		Strategy:   core.PairRangeDual{},
-		Attr:       "title",
-		BlockKey:   blocking.NormalizedPrefix(3),
-		Matcher:    matcher,
-		R:          4,
-		RunOptions: er.RunOptions{SpillBudget: 32, TmpDir: tmp},
+		Strategy:        core.PairRangeDual{},
+		Attr:            "title",
+		BlockKey:        blocking.NormalizedPrefix(3),
+		PreparedMatcher: core.Matcher(matcher),
+		R:               4,
+		RunOptions:      er.RunOptions{SpillBudget: 32, TmpDir: tmp},
 	})
 	if err != nil {
 		t.Fatal(err)

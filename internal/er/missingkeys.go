@@ -112,7 +112,6 @@ func RunWithMissingKeysPipeline(ctx context.Context, src Source, cfg Config) (*M
 			Strategy:        dualStrategyFor(cfg.Strategy),
 			Attr:            cfg.Attr,
 			BlockKey:        blocking.Constant(noKeySentinel),
-			Matcher:         cfg.Matcher,
 			PreparedMatcher: cfg.PreparedMatcher,
 			R:               cfg.R,
 		})

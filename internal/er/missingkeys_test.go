@@ -85,11 +85,11 @@ func TestRunWithMissingKeysAgainstSerial(t *testing.T) {
 		want, wantComps := serialWithMissing(es, "title", prefixOrEmpty, matchSameTail)
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 			res, err := RunWithMissingKeysPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), Config{
-				Strategy: strat,
-				Attr:     "title",
-				BlockKey: prefixOrEmpty,
-				Matcher:  matchSameTail,
-				R:        rng.Intn(6) + 1,
+				Strategy:        strat,
+				Attr:            "title",
+				BlockKey:        prefixOrEmpty,
+				PreparedMatcher: core.Matcher(matchSameTail),
+				R:               rng.Intn(6) + 1,
 			})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, strat.Name(), err)
@@ -111,11 +111,11 @@ func TestRunWithMissingKeysAllKeyed(t *testing.T) {
 		entity.New("c", "title", "bb z"),
 	}
 	res, err := RunWithMissingKeysPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
-		Strategy: core.BlockSplit{},
-		Attr:     "title",
-		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
-		R:        2,
+		Strategy:        core.BlockSplit{},
+		Attr:            "title",
+		BlockKey:        prefixOrEmpty,
+		PreparedMatcher: core.Matcher(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }),
+		R:               2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +135,11 @@ func TestRunWithMissingKeysAllMissing(t *testing.T) {
 		entity.New("c", "title", "?z"),
 	}
 	res, err := RunWithMissingKeysPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
-		Strategy: core.PairRange{},
-		Attr:     "title",
-		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
-		R:        3,
+		Strategy:        core.PairRange{},
+		Attr:            "title",
+		BlockKey:        prefixOrEmpty,
+		PreparedMatcher: core.Matcher(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }),
+		R:               3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,11 +161,11 @@ func TestRunWithMissingKeysSingleNoKeyEntity(t *testing.T) {
 		entity.New("q", "title", "?"),
 	}
 	res, err := RunWithMissingKeysPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(es, 1)), Config{
-		Strategy: core.BlockSplit{},
-		Attr:     "title",
-		BlockKey: prefixOrEmpty,
-		Matcher:  func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
-		R:        2,
+		Strategy:        core.BlockSplit{},
+		Attr:            "title",
+		BlockKey:        prefixOrEmpty,
+		PreparedMatcher: core.Matcher(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }),
+		R:               2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func RunPipeline(ctx context.Context, src Source, cfg Config) (*Result, error) {
 		job2Input = AnnotateInput(parts, cfg.Attr, cfg.BlockKey)
 	}
 
-	job, err := buildMatchJob(cfg, res.BDM)
+	job, err := cfg.Strategy.JobPrepared(res.BDM, cfg.R, cfg.PreparedMatcher)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +191,7 @@ func RunDualPipeline(ctx context.Context, srcR, srcS Source, cfg DualConfig) (*D
 	if err != nil {
 		return nil, err
 	}
-	job, err := buildDualMatchJob(cfg, matrix)
+	job, err := cfg.Strategy.JobPrepared(matrix, cfg.R, cfg.PreparedMatcher)
 	if err != nil {
 		return nil, err
 	}

@@ -38,13 +38,13 @@ func testEntities(n int, seed int64) []entity.Entity {
 
 func baseConfig(strat core.Strategy, par int) er.Config {
 	return er.Config{
-		RunOptions:  er.RunOptions{Engine: &mapreduce.Engine{Parallelism: par}},
-		Strategy:    strat,
-		Attr:        datagen.AttrTitle,
-		BlockKey:    datagen.BlockKey(),
-		Matcher:     testMatcher(0.8),
-		R:           5,
-		UseCombiner: true,
+		RunOptions:      er.RunOptions{Engine: &mapreduce.Engine{Parallelism: par}},
+		Strategy:        strat,
+		Attr:            datagen.AttrTitle,
+		BlockKey:        datagen.BlockKey(),
+		PreparedMatcher: testMatcher(0.8),
+		R:               5,
+		UseCombiner:     true,
 	}
 }
 

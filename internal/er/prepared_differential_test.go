@@ -48,10 +48,10 @@ func plainEditDistance(attr string, threshold float64) core.Matcher {
 	}
 }
 
-// TestPreparedMatcherDifferential proves the tentpole's correctness
-// claim: the prepared comparison kernel produces bit-identical Matches
-// and Comparisons to the plain matcher on random datasets across all
-// three strategies and several (m, r) shapes.
+// TestPreparedMatcherDifferential: the prepared comparison kernel
+// produces bit-identical Matches and Comparisons to the plain matcher
+// (run through the same loop as core.Matcher) on random datasets across
+// all three strategies and several (m, r) shapes.
 func TestPreparedMatcherDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	strategies := []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}}
@@ -72,7 +72,7 @@ func TestPreparedMatcherDifferential(t *testing.T) {
 				R:        r,
 			}
 			plainCfg := base
-			plainCfg.Matcher = plainEditDistance("title", th)
+			plainCfg.PreparedMatcher = plainEditDistance("title", th)
 			preparedCfg := base
 			preparedCfg.PreparedMatcher = match.EditDistance("title", th)
 
@@ -132,7 +132,7 @@ func TestPreparedMatcherDifferentialTokenKernels(t *testing.T) {
 	for _, tc := range cases {
 		for _, strat := range []core.Strategy{core.Basic{}, core.BlockSplit{}, core.PairRange{}} {
 			plainRes, err := RunPipeline(t.Context(), FromPartitions(parts), Config{
-				Strategy: strat, Attr: "title", BlockKey: key, Matcher: tc.plain, R: 5,
+				Strategy: strat, Attr: "title", BlockKey: key, PreparedMatcher: tc.plain, R: 5,
 			})
 			if err != nil {
 				t.Fatalf("%s/%s plain: %v", tc.name, strat.Name(), err)
@@ -163,7 +163,7 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 		plainRes, err := RunDualPipeline(t.Context(), FromPartitions(entity.SplitRoundRobin(rsrc, 2)), FromPartitions(entity.SplitRoundRobin(ssrc, 3)),
 			DualConfig{
 				Strategy: strat, Attr: "title", BlockKey: key,
-				Matcher: plainEditDistance("title", 0.6), R: 4,
+				PreparedMatcher: plainEditDistance("title", 0.6), R: 4,
 			})
 		if err != nil {
 			t.Fatalf("%s plain: %v", strat.Name(), err)
@@ -180,38 +180,5 @@ func TestPreparedMatcherDualDifferential(t *testing.T) {
 			plainRes.Comparisons != preparedRes.Comparisons {
 			t.Fatalf("%s: prepared dual result differs from plain", strat.Name())
 		}
-	}
-}
-
-// plainOnlyStrategy hides the PreparedStrategy implementation of the
-// wrapped strategy, forcing er.RunPipeline's transparent PlainMatcher fallback.
-type plainOnlyStrategy struct{ core.Strategy }
-
-// TestPreparedMatcherFallback: a strategy without JobPrepared still
-// works with a PreparedMatcher via the per-pair adapter, identically.
-func TestPreparedMatcherFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	es := randEntities(rng, 80)
-	parts := entity.SplitRoundRobin(es, 2)
-	key := blocking.NormalizedPrefix(2)
-	if _, ok := any(plainOnlyStrategy{core.PairRange{}}).(core.PreparedStrategy); ok {
-		t.Fatal("plainOnlyStrategy must not implement PreparedStrategy")
-	}
-	want, err := RunPipeline(t.Context(), FromPartitions(parts), Config{
-		Strategy: core.PairRange{}, Attr: "title", BlockKey: key,
-		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunPipeline(t.Context(), FromPartitions(parts), Config{
-		Strategy: plainOnlyStrategy{core.PairRange{}}, Attr: "title", BlockKey: key,
-		PreparedMatcher: match.EditDistance("title", 0.7), R: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Matches, got.Matches) || want.Comparisons != got.Comparisons {
-		t.Fatal("fallback path result differs from prepared path")
 	}
 }

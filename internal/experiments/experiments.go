@@ -129,7 +129,6 @@ func strategyTime(ctx context.Context, o Options, parts entity.Partitions, x *bd
 		Strategy:    strat,
 		Attr:        attr,
 		BlockKey:    key,
-		Matcher:     nil, // count comparisons only
 		R:           r,
 		UseCombiner: true,
 	})

@@ -62,12 +62,12 @@ func TestExternalDifferentialStrategies(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("%s/m=%d/r=%d/par=%d", strat.Name(), m, r, par)
 					cfg := er.Config{
-						Strategy:    strat,
-						Attr:        "title",
-						BlockKey:    blocking.NormalizedPrefix(3),
-						Matcher:     titleMatcher(0.85),
-						R:           r,
-						UseCombiner: true,
+						Strategy:        strat,
+						Attr:            "title",
+						BlockKey:        blocking.NormalizedPrefix(3),
+						PreparedMatcher: titleMatcher(0.85),
+						R:               r,
+						UseCombiner:     true,
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: par}
@@ -129,11 +129,11 @@ func TestExternalDifferentialDualStrategies(t *testing.T) {
 					for _, par := range []int{1, 4} {
 						name := fmt.Sprintf("%s/mR=%d/mS=%d/r=%d/par=%d", strat.Name(), mR, mS, r, par)
 						cfg := er.DualConfig{
-							Strategy: strat,
-							Attr:     "title",
-							BlockKey: blocking.NormalizedPrefix(3),
-							Matcher:  titleMatcher(0.85),
-							R:        r,
+							Strategy:        strat,
+							Attr:            "title",
+							BlockKey:        blocking.NormalizedPrefix(3),
+							PreparedMatcher: titleMatcher(0.85),
+							R:               r,
 						}
 
 						cfg.Engine = &mapreduce.Engine{Parallelism: par}

@@ -60,12 +60,12 @@ func TestStrategyMatrixShuffleDifferential(t *testing.T) {
 				for _, combiner := range []bool{false, true} {
 					name := fmt.Sprintf("%s/m=%d/r=%d/combiner=%v", strat.Name(), m, r, combiner)
 					cfg := er.Config{
-						Strategy:    strat,
-						Attr:        "title",
-						BlockKey:    blocking.NormalizedPrefix(3),
-						Matcher:     matcher,
-						R:           r,
-						UseCombiner: combiner,
+						Strategy:        strat,
+						Attr:            "title",
+						BlockKey:        blocking.NormalizedPrefix(3),
+						PreparedMatcher: core.Matcher(matcher),
+						R:               r,
+						UseCombiner:     combiner,
 					}
 
 					cfg.Engine = &mapreduce.Engine{Parallelism: 2}

@@ -5,10 +5,10 @@
 // cached runes, token sets, and n-gram profiles and allocates nothing in
 // steady state.
 //
-// Every constructor returns a core.PreparedMatcher; paths that only
-// accept a plain core.Matcher (serial references, custom strategies)
-// can wrap it with core.PlainMatcher for identical decisions at the
-// per-pair preparation cost.
+// Every constructor returns a core.PreparedMatcher; the serial
+// references, which take a plain core.Matcher, wrap it with
+// core.PlainMatcher for identical decisions at the per-pair preparation
+// cost.
 //
 // All matchers draw their prepared forms from similarity's free list
 // and implement core.PreparedReleaser, so the strategy reducers recycle

@@ -113,33 +113,21 @@ func LeastCommonKey(allA, allB string) string {
 	return ""
 }
 
-// WrapMatcher applies the least-common-block-key rule around an inner
-// matcher: within block k, a candidate pair is forwarded to the inner
-// matcher only if k is the smallest key the two entities share. All
-// other co-occurrences are redundant — they would re-evaluate (and
+// WrapPreparedMatcher applies the least-common-block-key rule around an
+// inner matcher: within block k, a candidate pair is forwarded to the
+// inner matcher only if k is the smallest key the two entities share.
+// All other co-occurrences are redundant — they would re-evaluate (and
 // re-emit) the same pair. The skipped candidates still count as
 // redistribution work (they were shuffled and buffered), which is
 // exactly the multi-pass overhead the paper's related work discusses.
-func WrapMatcher(inner core.Matcher) core.Matcher {
-	return func(a, b entity.Entity) (float64, bool) {
-		block := a.Attr(AttrKey)
-		if lck := LeastCommonKey(a.Attr(AttrAllKeys), b.Attr(AttrAllKeys)); lck != block {
-			return 0, false
-		}
-		if inner == nil {
-			return 0, false
-		}
-		return inner(a, b)
-	}
-}
-
-// WrapPreparedMatcher is the prepare-once form of WrapMatcher: the
-// replica's block key and key set are captured at preparation time
-// (once per reduce group), so the least-common-key filter costs no
-// attribute lookups on the per-pair path, and the inner matcher's
-// prepared forms are reused across all of the replica's comparisons.
+//
+// The replica's block key and key set are captured at preparation time
+// (once per reduce group), so the filter costs no attribute lookups on
+// the per-pair path, and the inner matcher's prepared forms are reused
+// across all of the replica's comparisons. A nil inner matcher applies
+// the filter and counts only.
 func WrapPreparedMatcher(inner core.PreparedMatcher) core.PreparedMatcher {
-	return &lckPrepared{inner: inner}
+	return &lckPrepared{inner: core.OrCountOnly(inner)}
 }
 
 type lckPrepared struct {
@@ -178,16 +166,21 @@ func (w *lckPrepared) ReleasePrepared(p core.PreparedEntity) {
 
 // Config configures a multi-pass run.
 type Config struct {
+	// RunOptions is the execution plumbing forwarded to the underlying
+	// er pipeline. A configured Sink sees each match exactly once (see
+	// RunPipeline).
+	er.RunOptions
+
 	Passes   []Pass
 	Strategy core.Strategy
-	Matcher  core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher: the
-	// pipeline runs the prepare-once kernel with the least-common-key
-	// rule applied on prepared forms (WrapPreparedMatcher).
+	// PreparedMatcher decides matches; the pipeline applies the
+	// least-common-key rule on prepared forms around it
+	// (WrapPreparedMatcher). A plain function runs as core.Matcher(f);
+	// nil counts comparisons only.
 	PreparedMatcher core.PreparedMatcher
 	R               int
-	// Engine and UseCombiner are forwarded to the underlying pipeline.
-	ErConfig er.Config
+	// UseCombiner enables the combiner in the BDM job.
+	UseCombiner bool
 }
 
 // RunPipeline executes the full load-balanced multi-pass workflow over
@@ -195,7 +188,7 @@ type Config struct {
 // key), run the two-job pipeline with the replica key as blocking key,
 // and deduplicate matches via the least-common-key rule. The rule
 // rejects every redundant co-occurrence before the matcher fires, so a
-// streaming sink (ErConfig.Sink) sees each match exactly once.
+// streaming sink (RunOptions.Sink) sees each match exactly once.
 func RunPipeline(ctx context.Context, src er.Source, cfg Config) (*er.Result, error) {
 	if len(cfg.Passes) == 0 {
 		return nil, fmt.Errorf("multipass: at least one pass is required")
@@ -207,20 +200,15 @@ func RunPipeline(ctx context.Context, src er.Source, cfg Config) (*er.Result, er
 	if err != nil {
 		return nil, err
 	}
-	expanded := Expand(parts, cfg.Passes)
-	ec := cfg.ErConfig
-	ec.Strategy = cfg.Strategy
-	ec.Attr = AttrKey
-	ec.BlockKey = blocking.Identity()
-	if cfg.PreparedMatcher != nil {
-		ec.Matcher = nil
-		ec.PreparedMatcher = WrapPreparedMatcher(cfg.PreparedMatcher)
-	} else {
-		ec.Matcher = WrapMatcher(cfg.Matcher)
-		ec.PreparedMatcher = nil
-	}
-	ec.R = cfg.R
-	return er.RunPipeline(ctx, er.FromPartitions(expanded), ec)
+	return er.RunPipeline(ctx, er.FromPartitions(Expand(parts, cfg.Passes)), er.Config{
+		RunOptions:      cfg.RunOptions,
+		Strategy:        cfg.Strategy,
+		Attr:            AttrKey,
+		BlockKey:        blocking.Identity(),
+		PreparedMatcher: WrapPreparedMatcher(cfg.PreparedMatcher),
+		R:               cfg.R,
+		UseCombiner:     cfg.UseCombiner,
+	})
 }
 
 // SerialMatch is the multi-pass reference implementation: for each pair

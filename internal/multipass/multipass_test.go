@@ -120,10 +120,10 @@ func TestRunMatchesSerialReference(t *testing.T) {
 		var mu sync.Mutex
 		got := make(map[core.MatchPair]int)
 		res, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
-			Passes:   twoPass(),
-			Strategy: strat,
-			Matcher:  alwaysMatch(&got, &mu),
-			R:        4,
+			Passes:          twoPass(),
+			Strategy:        strat,
+			PreparedMatcher: alwaysMatch(&got, &mu),
+			R:               4,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", strat.Name(), err)
@@ -166,10 +166,10 @@ func TestRunFuzz(t *testing.T) {
 		want, _ := SerialMatch(es, twoPass(), match)
 		for _, strat := range []core.Strategy{core.BlockSplit{}, core.PairRange{}} {
 			res, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), Config{
-				Passes:   twoPass(),
-				Strategy: strat,
-				Matcher:  match,
-				R:        rng.Intn(6) + 1,
+				Passes:          twoPass(),
+				Strategy:        strat,
+				PreparedMatcher: core.Matcher(match),
+				R:               rng.Intn(6) + 1,
 			})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, strat.Name(), err)
@@ -207,26 +207,43 @@ func TestOverhead(t *testing.T) {
 	}
 }
 
-// TestWrapMatcherSkipsRedundant: within the non-minimal shared block the
-// wrapped matcher refuses without invoking the inner matcher.
-func TestWrapMatcherSkipsRedundant(t *testing.T) {
+// TestWrapPreparedMatcherSkipsRedundant: within the non-minimal shared
+// block the wrapped matcher refuses without invoking the inner matcher;
+// with a nil inner matcher it filters and counts without matching.
+func TestWrapPreparedMatcherSkipsRedundant(t *testing.T) {
 	inner := 0
-	wrapped := WrapMatcher(func(entity.Entity, entity.Entity) (float64, bool) {
+	counting := core.Matcher(func(entity.Entity, entity.Entity) (float64, bool) {
 		inner++
 		return 1, true
 	})
 	a := mkProd("a", "alpha", "acme").WithAttr(AttrAllKeys, joinKeys([]string{"acm", "alp"}))
 	b := mkProd("b", "alpha", "acme").WithAttr(AttrAllKeys, joinKeys([]string{"acm", "alp"}))
-	if _, ok := wrapped(a.WithAttr(AttrKey, "alp"), b.WithAttr(AttrKey, "alp")); ok {
-		t.Error("non-minimal block should be skipped")
-	}
-	if inner != 0 {
-		t.Error("inner matcher invoked on redundant candidate")
-	}
-	if _, ok := wrapped(a.WithAttr(AttrKey, "acm"), b.WithAttr(AttrKey, "acm")); !ok {
-		t.Error("minimal block should be evaluated")
-	}
-	if inner != 1 {
-		t.Errorf("inner invoked %d times, want 1", inner)
+	for _, tc := range []struct {
+		name      string
+		inner     core.PreparedMatcher
+		wantMatch bool // in the minimal block
+		wantCalls int
+	}{
+		{name: "counting", inner: counting, wantMatch: true, wantCalls: 1},
+		{name: "nil", inner: nil, wantMatch: false, wantCalls: 0},
+	} {
+		inner = 0
+		wrapped := WrapPreparedMatcher(tc.inner)
+		match := func(block string) bool {
+			_, ok := wrapped.MatchPrepared(wrapped.Prepare(a.WithAttr(AttrKey, block)), wrapped.Prepare(b.WithAttr(AttrKey, block)))
+			return ok
+		}
+		if match("alp") {
+			t.Errorf("%s: non-minimal block should be skipped", tc.name)
+		}
+		if inner != 0 {
+			t.Errorf("%s: inner matcher invoked on redundant candidate", tc.name)
+		}
+		if got := match("acm"); got != tc.wantMatch {
+			t.Errorf("%s: minimal block matched = %v, want %v", tc.name, got, tc.wantMatch)
+		}
+		if inner != tc.wantCalls {
+			t.Errorf("%s: inner invoked %d times, want %d", tc.name, inner, tc.wantCalls)
+		}
 	}
 }

@@ -29,9 +29,9 @@ func pipelineFixture() (entity.Partitions, Config) {
 			{Name: "suffix", Attr: "title", Key: blocking.Suffix(5)},
 		},
 		Strategy: core.BlockSplit{},
-		Matcher: func(a, b entity.Entity) (float64, bool) {
+		PreparedMatcher: core.Matcher(func(a, b entity.Entity) (float64, bool) {
 			return 1, a.Attr("title") == b.Attr("title")
-		},
+		}),
 		R: 4,
 	}
 	return entity.SplitRoundRobin(es, 3), cfg
@@ -45,7 +45,7 @@ func TestMultipassSinkSeesEachMatchOnce(t *testing.T) {
 	}
 	canon := &er.Canonical{}
 	var raw int
-	cfg.ErConfig.Sink = er.SinkFunc(func(p core.MatchPair, sim float64) error {
+	cfg.Sink = er.SinkFunc(func(p core.MatchPair, sim float64) error {
 		raw++
 		return canon.Consume(p, sim)
 	})

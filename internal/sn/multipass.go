@@ -25,7 +25,7 @@ type Pass struct {
 	Key KeyFunc
 }
 
-// MultiConfig configures a multi-pass SN run. Window, R, Matcher,
+// MultiConfig configures a multi-pass SN run. Window, R,
 // PreparedMatcher, and the embedded RunOptions apply to every pass. A
 // configured Sink receives each pass's raw match stream (a pair inside
 // several passes' windows repeats, mirroring Comparisons counting it
@@ -33,12 +33,10 @@ type Pass struct {
 type MultiConfig struct {
 	er.RunOptions
 
-	Passes  []Pass
-	Window  int
-	R       int
-	Matcher core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher in
-	// every pass; see Config.PreparedMatcher.
+	Passes []Pass
+	Window int
+	R      int
+	// PreparedMatcher is as for Config.PreparedMatcher.
 	PreparedMatcher core.PreparedMatcher
 }
 
@@ -74,7 +72,6 @@ func RunMultiPassPipeline(ctx context.Context, src er.Source, cfg MultiConfig) (
 			Key:             pass.Key,
 			Window:          cfg.Window,
 			R:               cfg.R,
-			Matcher:         cfg.Matcher,
 			PreparedMatcher: cfg.PreparedMatcher,
 		})
 		if err != nil {

@@ -7,9 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/er"
-
+	"repro/internal/core"
 	"repro/internal/entity"
+	"repro/internal/er"
 )
 
 func reverseKey(v string) string {
@@ -43,10 +43,10 @@ func TestRunMultiPassAgainstSerial(t *testing.T) {
 		w := rng.Intn(5) + 2
 		want := SerialMultiPass(es, multiPasses(), w, match)
 		res, err := RunMultiPassPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, rng.Intn(3)+1)), MultiConfig{
-			Passes:  multiPasses(),
-			Window:  w,
-			R:       rng.Intn(6) + 1,
-			Matcher: match,
+			Passes:          multiPasses(),
+			Window:          w,
+			R:               rng.Intn(6) + 1,
+			PreparedMatcher: core.Matcher(match),
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -83,13 +83,13 @@ func TestRunMultiPassRecoversCrossPassDuplicates(t *testing.T) {
 		return 1, kx[len(kx)-1] == ky[len(ky)-1]
 	}
 	forwardOnly, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 1)), Config{
-		Attr: "k", Key: identityKey, Window: 2, R: 2, Matcher: match,
+		Attr: "k", Key: identityKey, Window: 2, R: 2, PreparedMatcher: core.Matcher(match),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	multi, err := RunMultiPassPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 1)), MultiConfig{
-		Passes: multiPasses(), Window: 2, R: 2, Matcher: match,
+		Passes: multiPasses(), Window: 2, R: 2, PreparedMatcher: core.Matcher(match),
 	})
 	if err != nil {
 		t.Fatal(err)

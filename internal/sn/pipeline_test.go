@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/entity"
 	"repro/internal/er"
 	"repro/internal/mapreduce"
@@ -31,9 +32,9 @@ func snPipelineFixture() (entity.Partitions, Config) {
 		Key:        identityKey,
 		Window:     6,
 		R:          5,
-		Matcher: func(a, b entity.Entity) (float64, bool) {
+		PreparedMatcher: core.Matcher(func(a, b entity.Entity) (float64, bool) {
 			return 1, a.Attr("k") == b.Attr("k")
-		},
+		}),
 	}
 	return entity.SplitRoundRobin(es, 3), cfg
 }

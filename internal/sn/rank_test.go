@@ -32,7 +32,7 @@ func TestRunRankedMatchesSerialFuzz(t *testing.T) {
 		got := make(map[core.MatchPair]int)
 		res, err := RunRankedPipeline(t.Context(), er.FromPartitions(parts), Config{
 			Attr: "k", Key: identityKey, Window: w, R: r,
-			Matcher: alwaysMatch(&got, &mu),
+			PreparedMatcher: alwaysMatch(&got, &mu),
 		})
 		if err != nil {
 			t.Fatalf("trial %d (w=%d r=%d m=%d): %v", trial, w, r, m, err)

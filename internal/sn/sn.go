@@ -56,14 +56,12 @@ type Config struct {
 	Window int
 	// R is the number of reduce tasks of the matching job.
 	R int
-	// Matcher decides matches; nil counts comparisons only.
-	Matcher core.Matcher
-	// PreparedMatcher, when non-nil, takes precedence over Matcher and
-	// drives the prepare-once comparison kernel: the window reducer
-	// prepares each entity exactly once when it enters the sliding
-	// buffer (instead of re-deriving both sides on every of its up to
-	// 2(w−1) comparisons), and the boundary stitching prepares each
-	// fringe entity once. Results are identical to the plain path.
+	// PreparedMatcher decides matches: the window reducer prepares each
+	// entity exactly once when it enters the sliding buffer (instead of
+	// re-deriving both sides on every of its up to 2(w−1) comparisons),
+	// and the boundary stitching prepares each fringe entity once. A
+	// plain function runs as core.Matcher(f); nil counts comparisons
+	// only.
 	PreparedMatcher core.PreparedMatcher
 }
 
@@ -328,7 +326,6 @@ func (m *snMapper) Map(ctx *mapreduce.MapContext[entity.Entity, snKey, entity.En
 // the logic only depends on the value order.
 type snReducer[K any] struct {
 	window int
-	match  core.Matcher
 	pm     core.PreparedMatcher
 	rel    core.PreparedReleaser
 	task   int
@@ -337,8 +334,8 @@ type snReducer[K any] struct {
 }
 
 func newSNReducer[K any](cfg *Config) *snReducer[K] {
-	r := &snReducer[K]{window: cfg.Window, match: cfg.Matcher, pm: cfg.PreparedMatcher}
-	if rel, ok := cfg.PreparedMatcher.(core.PreparedReleaser); ok {
+	r := &snReducer[K]{window: cfg.Window, pm: core.OrCountOnly(cfg.PreparedMatcher)}
+	if rel, ok := r.pm.(core.PreparedReleaser); ok {
 		r.rel = rel
 	}
 	return r
@@ -355,45 +352,30 @@ func (r *snReducer[K]) release(p core.PreparedEntity) {
 // Reduce receives one whole range in canonical order, slides the
 // window, and emits the range's head and tail fringes for the boundary
 // phase. Only the last w−1 seen entities are buffered — SN's
-// constant-memory advantage over block-based matching. With a prepared
-// matcher each entity is prepared exactly once, when it enters the
-// window. The range index equals the reduce task index (both the
-// key-based and the rank-based variant produce at most r ranges,
-// partitioned by range).
+// constant-memory advantage over block-based matching. Each entity is
+// prepared exactly once, when it enters the window. The range index
+// equals the reduce task index (both the key-based and the rank-based
+// variant produce at most r ranges, partitioned by range).
 func (r *snReducer[K]) Reduce(ctx *mapreduce.ReduceContext[snOut], _ K, values []mapreduce.Rec[K, entity.Entity]) {
 	rg := r.task
 	r.buffer, r.prep = r.buffer[:0], r.prep[:0]
 	n := len(values)
 	for i := range values {
 		e := values[i].Value
-		var pe core.PreparedEntity
-		if r.pm != nil {
-			pe = r.pm.Prepare(e)
-		}
+		pe := r.pm.Prepare(e)
 		for j, prev := range r.buffer {
 			ctx.Inc(core.ComparisonsCounter, 1)
-			switch {
-			case r.pm != nil:
-				if sim, ok := r.pm.MatchPrepared(r.prep[j], pe); ok {
-					ctx.Emit(snOut{match: core.NewMatchPair(prev.ID, e.ID), sim: sim})
-				}
-			case r.match != nil:
-				if sim, ok := r.match(prev, e); ok {
-					ctx.Emit(snOut{match: core.NewMatchPair(prev.ID, e.ID), sim: sim})
-				}
+			if sim, ok := r.pm.MatchPrepared(r.prep[j], pe); ok {
+				ctx.Emit(snOut{match: core.NewMatchPair(prev.ID, e.ID), sim: sim})
 			}
 		}
 		if len(r.buffer) == r.window-1 {
 			r.buffer = r.buffer[1:]
-			if r.pm != nil {
-				r.release(r.prep[0]) // evicted from the window: done for good
-				r.prep = r.prep[1:]
-			}
+			r.release(r.prep[0]) // evicted from the window: done for good
+			r.prep = r.prep[1:]
 		}
 		r.buffer = append(r.buffer, e)
-		if r.pm != nil {
-			r.prep = append(r.prep, pe)
-		}
+		r.prep = append(r.prep, pe)
 
 		// Fringes for boundary stitching.
 		if i < r.window-1 {
@@ -453,14 +435,11 @@ func stitchBoundaries(fringes []fringe, cfg Config) ([]scoredPair, int64) {
 		tails[rg] = orderedByPos(ps, true) // tail Pos counts from the end
 	}
 
-	// With a prepared matcher, derive each fringe entity's comparison
-	// form once up front; a fringe entity participates in up to w−1
-	// cross-range comparisons.
-	var prepHeads, prepTails map[int][]core.PreparedEntity
-	if cfg.PreparedMatcher != nil {
-		prepHeads = prepareFringes(heads, cfg.PreparedMatcher)
-		prepTails = prepareFringes(tails, cfg.PreparedMatcher)
-	}
+	// Derive each fringe entity's comparison form once up front; a
+	// fringe entity participates in up to w−1 cross-range comparisons.
+	pm := core.OrCountOnly(cfg.PreparedMatcher)
+	prepHeads := prepareFringes(heads, pm)
+	prepTails := prepareFringes(tails, pm)
 
 	w := cfg.Window
 	var pairs []scoredPair
@@ -492,15 +471,8 @@ func stitchBoundaries(fringes []fringe, cfg Config) ([]scoredPair, int64) {
 					}
 					seenPair[pk] = true
 					comparisons++
-					switch {
-					case cfg.PreparedMatcher != nil:
-						if sim, ok := cfg.PreparedMatcher.MatchPrepared(prepTails[b][ti], prepHeads[nb][hi]); ok {
-							pairs = append(pairs, scoredPair{core.NewMatchPair(x.ID, y.ID), sim})
-						}
-					case cfg.Matcher != nil:
-						if sim, ok := cfg.Matcher(x, y); ok {
-							pairs = append(pairs, scoredPair{core.NewMatchPair(x.ID, y.ID), sim})
-						}
+					if sim, ok := pm.MatchPrepared(prepTails[b][ti], prepHeads[nb][hi]); ok {
+						pairs = append(pairs, scoredPair{core.NewMatchPair(x.ID, y.ID), sim})
 					}
 				}
 				// Advance past range nb: all of its entities separate x
@@ -516,7 +488,7 @@ func stitchBoundaries(fringes []fringe, cfg Config) ([]scoredPair, int64) {
 			}
 		}
 	}
-	if rel, ok := cfg.PreparedMatcher.(core.PreparedReleaser); ok {
+	if rel, ok := pm.(core.PreparedReleaser); ok {
 		for _, ps := range prepHeads {
 			for _, p := range ps {
 				rel.ReleasePrepared(p)

@@ -56,7 +56,7 @@ func TestRunMatchesSerialSmall(t *testing.T) {
 			want, wantComps := Serial(es, "k", identityKey, w, func(entity.Entity, entity.Entity) (float64, bool) { return 1, true })
 			res, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 2)), Config{
 				Attr: "k", Key: identityKey, Window: w, R: r,
-				Matcher: func(entity.Entity, entity.Entity) (float64, bool) { return 1, true },
+				PreparedMatcher: core.Matcher(func(entity.Entity, entity.Entity) (float64, bool) { return 1, true }),
 			})
 			if err != nil {
 				t.Fatalf("w=%d r=%d: %v", w, r, err)
@@ -90,7 +90,7 @@ func TestRunMatchesSerialFuzz(t *testing.T) {
 		got := make(map[core.MatchPair]int)
 		res, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, m)), Config{
 			Attr: "k", Key: identityKey, Window: w, R: r,
-			Matcher: alwaysMatch(&got, &mu),
+			PreparedMatcher: alwaysMatch(&got, &mu),
 		})
 		if err != nil {
 			t.Fatalf("trial %d (w=%d r=%d): %v", trial, w, r, err)
@@ -198,8 +198,8 @@ func TestRunParallelEngineDeterminism(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		res, err := RunPipeline(t.Context(), er.FromPartitions(entity.SplitRoundRobin(es, 3)), Config{
 			Attr: "k", Key: identityKey, Window: 4, R: 5,
-			Matcher:    func(a, b entity.Entity) (float64, bool) { return 1, a.ID[1] == b.ID[1] },
-			RunOptions: er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
+			PreparedMatcher: core.Matcher(func(a, b entity.Entity) (float64, bool) { return 1, a.ID[1] == b.ID[1] }),
+			RunOptions:      er.RunOptions{Engine: &mapreduce.Engine{Parallelism: 4}},
 		})
 		if err != nil {
 			t.Fatal(err)
